@@ -8,8 +8,10 @@ Subcommands:
 * ``remainder`` -- measured error and bounds at a point
 * ``teixeira``  -- two-sided contour-coefficient report (--s supplies theta)
 
-Diagnostics go to stderr only.  Exit codes: 0 success, 1 other errors,
-2 parse errors, 3 vanishing inner derivative at the expansion point,
+Diagnostics go to stderr only.  Exit codes: 0 success, 1 invalid values
+(a negative or too large order, a non-positive tolerance or radius, too
+few samples or quadrature points) and other errors, 2 parse and usage
+errors, 3 vanishing inner derivative at the expansion point,
 4 singularities, 5 oracle disagreement.  Output is deterministic for a
 fixed configuration: floats print as their shortest round-trip decimal
 and JSON key order is fixed.
@@ -44,7 +46,6 @@ from .series import (
     TERMINATION_TOL,
     ExpansionRequest,
     expand,
-    partial_sum,
 )
 from .teixeira import ContourSpec, teixeira_expand, teixeira_partial_sum
 
@@ -152,6 +153,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):  # no path: argparse reports the usage error
+        return argv
     path = argv[at + 1]
     head, tail = argv[: at + 2], argv[at + 2:]
     if not tail:
@@ -315,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularEvaluation, SingularAtExpansionPoint, QuadratureSingularity) as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return 4
-    except FuncSeriesError as exc:
+    except (FuncSeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

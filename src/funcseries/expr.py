@@ -573,21 +573,6 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
     return nums, dens, sign * constant
 
 
-def _factor_tally(parts) -> dict[Expr, int]:
-    """Base -> positive integer exponent for the factorable parts."""
-    exps: dict[Expr, int] = {}
-    for f in parts:
-        base, exp = f, 1
-        if f.kind == POWER:
-            k = _int_exponent(f.args[1])
-            if k is None or k <= 0:
-                continue
-            base, exp = f.args[0], k
-        if base.kind != CONST:
-            exps[base] = exps.get(base, 0) + exp
-    return exps
-
-
 def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr], Expr]:
     """Pull factors shared by every term of a sum, restricted to wanted bases.
 
@@ -600,7 +585,7 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
     for t in addnode.args:
         inner = t.args[0] if t.kind == NEGATE else t
         parts = inner.args if inner.kind == MULTIPLY else (inner,)
-        tally = _factor_tally(parts)
+        tally = _tally_factors(parts)[0]
         term_info.append((t, inner, tally))
         common = tally if common is None else {
             b: min(k, common[b]) for b, k in tally.items() if b in common}
@@ -701,7 +686,7 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
     den_parts = den_parts + stray_dens
 
     # a sum-numerator can still cancel if all its terms share denominator bases
-    den_bases = set(_factor_tally(den_parts))
+    den_bases = set(_tally_factors(den_parts)[0])
     if den_bases:
         expanded: list[Expr] = []
         for part in num_parts:
@@ -715,23 +700,8 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
 
     # cancel shared bases power-aware and multiset-wise: keys are bases,
     # values are accumulated integer exponents
-    def tally(parts: list[Expr]) -> tuple[dict[Expr, int], list[Expr]]:
-        exps: dict[Expr, int] = {}
-        opaque: list[Expr] = []
-        for f in parts:
-            base, exp = f, 1
-            if f.kind == POWER:
-                k = _int_exponent(f.args[1])
-                if k is not None and k > 0:
-                    base, exp = f.args[0], k
-                else:
-                    opaque.append(f)
-                    continue
-            exps[base] = exps.get(base, 0) + exp
-        return exps, opaque
-
-    num_exps, num_opaque = tally(num_parts)
-    den_exps, den_opaque = tally(den_parts)
+    num_exps, num_opaque = _tally_factors(num_parts)
+    den_exps, den_opaque = _tally_factors(den_parts)
     for base in list(den_exps):
         if base in num_exps:
             k = min(num_exps[base], den_exps[base])
@@ -983,6 +953,11 @@ def _fmt_node(e: Expr) -> tuple[str, int]:
 # parsing
 # --------------------------------------------------------------------------
 
+#: deepest nesting of parentheses, calls, unary minus and ``^`` that
+#: parse() accepts; deeper input raises ParseError instead of exhausting
+#: the interpreter stack
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])")
 
 
@@ -991,6 +966,7 @@ class _Parser:
         self.text = text
         self.tokens: list[tuple[str, str, int]] = []
         self.pos = 0
+        self.depth = 0
         self.seen_vars: set[str] = set()
         self._tokenize()
 
@@ -1026,6 +1002,15 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", at)
         self.advance()
+
+    def nested(self, parse_part: Callable[[], Expr], at: int) -> Expr:
+        """Run parse_part one nesting level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
+        self.depth += 1
+        e = parse_part()
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expr:
         e = self.parse_add()
@@ -1064,18 +1049,18 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return negate(self.parse_unary())
+            return negate(self.nested(self.parse_unary, at))
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Expr(POWER, (base, self.parse_unary()))
+            return Expr(POWER, (base, self.nested(self.parse_unary, at)))
         return base
 
     def parse_atom(self) -> Expr:
@@ -1085,7 +1070,7 @@ class _Parser:
                 return const(float(value))
             return const(int(value))
         if kind == "op" and value == "(":
-            e = self.parse_add()
+            e = self.nested(self.parse_add, at)
             self.expect_op(")")
             return e
         if kind == "name":
@@ -1093,7 +1078,7 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise UnknownFunction(f"unknown function {value!r}", at)
                 self.advance()
-                arg = self.parse_add()
+                arg = self.nested(self.parse_add, at)
                 self.expect_op(")")
                 return Expr(CALL, (arg,), name=value)
             if len(value) == 1:
@@ -1109,8 +1094,9 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse grammar text into an expression tree.
 
-    Raises ParseError (with position) on malformed input,
-    UnknownFunction for calls outside the supported set, and
-    MultipleVariables if two distinct variable letters appear.
+    Raises ParseError (with position) on malformed input or on nesting
+    deeper than MAX_NESTING levels, UnknownFunction for calls outside the
+    supported set, and MultipleVariables if two distinct variable letters
+    appear.
     """
     return _Parser(text).parse()

@@ -16,8 +16,11 @@ restatement of the nonvanishing-derivative requirement).
 
 A TruncatedSeries holds the coefficients of e(z0 + t) in t up to a
 fixed order; arithmetic never reads beyond the stored coefficients.
-All values are complex128 and instances are immutable, so everything
-here can run concurrently.
+Products, quotients and compositions run on three small numpy kernels
+(Cauchy product, long division, Horner composition) private to this
+module.  The jets are also the Taylor data for the inverse-composite
+route in :mod:`funcseries.series`.  All values are complex128 and
+instances are immutable, so everything here can run concurrently.
 
     >>> from funcseries.expr import parse
     >>> TruncatedSeries.from_expr(parse("exp(z)"), 0.0, 4).coefficients.real
@@ -27,11 +30,9 @@ here can run concurrently.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     CompositionOffsetNonzero,
     DivisionBySingularSeries,
@@ -67,6 +68,34 @@ CATALOG: tuple[tuple[str, str, str, complex], ...] = (
     ("degenerate-rational", "1/(z-2)^2", "1/(z-2)", 0.0),
     ("square-of-exponential", "exp(2*z)", "exp(z)", 0.0),
 )
+
+
+# --------------------------------------------------------------------------
+# array kernels: complex128 arrays of length order + 1 in, a fresh one out
+# --------------------------------------------------------------------------
+
+def _series_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of a*b truncated at the given order."""
+    return np.convolve(a, b)[: order + 1]
+
+
+def _series_div(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of a/b truncated at the given order; b[0] must not be ~0."""
+    out = np.zeros(order + 1, dtype=np.complex128)
+    for n in range(order + 1):
+        acc = a[n] - np.dot(out[:n], b[n:0:-1])
+        out[n] = acc / b[0]
+    return out
+
+
+def _series_compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of outer(inner(t)) truncated; inner[0] must be exactly 0."""
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[0] = outer[order]
+    for k in range(order - 1, -1, -1):
+        out = np.convolve(out, inner)[: order + 1]
+        out[0] += outer[k]
+    return out
 
 
 class TruncatedSeries:
@@ -151,7 +180,7 @@ class TruncatedSeries:
             return TruncatedSeries(self.coefficients * complex(other))
         other = self._coerce(other)
         return TruncatedSeries(
-            _kernels.series_mul(self.coefficients, other.coefficients, self.order))
+            _series_mul(self.coefficients, other.coefficients, self.order))
 
     __rmul__ = __mul__
 
@@ -161,7 +190,7 @@ class TruncatedSeries:
             raise DivisionBySingularSeries(
                 "divisor series has (near-)zero constant term")
         return TruncatedSeries(
-            _kernels.series_div(self.coefficients, other.coefficients, self.order))
+            _series_div(self.coefficients, other.coefficients, self.order))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -187,7 +216,7 @@ class TruncatedSeries:
             raise CompositionOffsetNonzero(
                 f"inner constant term is {inner.coefficients[0]}, not 0")
         return TruncatedSeries(
-            _kernels.series_compose(self.coefficients, inner.coefficients, self.order))
+            _series_compose(self.coefficients, inner.coefficients, self.order))
 
     def shift_to_zero(self) -> "TruncatedSeries":
         """Copy with the constant term replaced by an exact 0."""
@@ -322,7 +351,7 @@ def oracle_coefficients(f: Expr, s: Expr, z0: complex, order: int) -> list[compl
         coeffs.append(complex(c_n))
         residual -= c_n * power_of_u
         if n < order:
-            power_of_u = _kernels.series_mul(power_of_u, u.coefficients, order)
+            power_of_u = _series_mul(power_of_u, u.coefficients, order)
     return coeffs
 
 

@@ -18,7 +18,9 @@ which terminate exactly when the power is 1/n.
 
 :func:`inverse_composite_expand` is the alternative route for the rare
 case where an explicit inverse g of s is available: it Taylor-expands
-h = f(g(.)) at s(z0), which must agree with :func:`expand`.
+h = f(g(.)) at s(z0), which must agree with :func:`expand`.  Its Taylor
+coefficients come from the jets of :mod:`funcseries.oracle`, not from a
+second symbolic differentiation ladder.
 
 Each expansion builds a private operator chain, so distinct requests
 may run concurrently; a returned SeriesExpansion is treated as
@@ -43,10 +45,10 @@ from .expr import (
     differentiate,
     evaluate,
     format_expr,
-    simplify,
     sole_variable,
     substitute,
 )
+from .oracle import TruncatedSeries
 
 #: |s'(z0)| at or below this is treated as a vanishing derivative
 DERIVATIVE_ZERO_TOL = 1e-12
@@ -56,6 +58,9 @@ TERMINATION_TOL = 1e-10
 
 #: how many consecutive negligible tail coefficients termination needs
 TERMINATION_RUN = 3
+
+#: largest expansion order: n! no longer fits a double beyond 170
+MAX_ORDER = 170
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,8 @@ class ExpansionRequest:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be >= 0")
+        if self.order > MAX_ORDER:
+            raise ValueError(f"order must be <= {MAX_ORDER}")
         if self.termination_tol <= 0 or self.derivative_zero_tol <= 0:
             raise ValueError("tolerances must be positive")
         object.__setattr__(self, "z0", complex(self.z0))
@@ -201,23 +208,6 @@ def power_expansion_coefficients(beta, order: int) -> list[float]:
     return coefficients
 
 
-def taylor_coefficients(e: Expr, letter: str, at: complex, order: int) -> list[complex]:
-    """Plain Taylor coefficients of e at the point, by repeated derivative."""
-    coefficients = []
-    d = e
-    factorial = 1
-    for n in range(order + 1):
-        if n:
-            d = simplify(differentiate(d, letter))
-            factorial *= n
-        try:
-            coefficients.append(evaluate(d, at) / factorial)
-        except SingularEvaluation as exc:
-            raise SingularAtExpansionPoint(
-                f"derivative {n} of {format_expr(e)} at {at}: {exc}") from exc
-    return coefficients
-
-
 #: absolute tolerance (scaled by max(1, |z0|)) for the inverse round-trip check
 INVERSE_ROUNDTRIP_TOL = 1e-8
 
@@ -229,11 +219,12 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
 
     g must be written in its own letter and satisfy g(s(z0)) = z0 to
     within the round-trip tolerance; otherwise InverseMismatch is
-    raised.  The result matches expand() field for field.
+    raised.  The coefficients are those of the jet of f(g(.)) at s(z0),
+    so SingularAtExpansionPoint is raised where that jet cannot be
+    formed.  The result matches expand() field for field.
     """
     z0 = complex(z0)
     z_letter = sole_variable(f, s)
-    g_letter = sole_variable(g, default="s")
     try:
         s0 = evaluate(s, z0)
         back = evaluate(g, s0)
@@ -244,6 +235,7 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
             f"g(s(z0)) = {back} does not return to z0 = {z0}")
 
     h = substitute(f, z_letter, g)
-    coefficients = tuple(taylor_coefficients(h, g_letter, s0, order))
+    jet = TruncatedSeries.from_expr(h, s0, order)
+    coefficients = tuple(complex(c) for c in jet.coefficients)
     terminated = detect_termination(coefficients, termination_tol)
     return SeriesExpansion(f, s, z0, s0, coefficients, terminated)

@@ -1,13 +1,18 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from funcseries.cli import main
+
+#: sha256 of the stdout of each benchmark CLI call, keyed by its arguments
+CLI_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
 
 
 def run_cli(capsys, *argv):
@@ -198,3 +203,42 @@ class TestConfigFile:
         report = json.loads(out)
         assert len(report["coefficients"]) == 5  # flag overrode config order
         assert report["s"] == "z"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--f", "exp(z)", "--s", "z", "--order", "-1"),
+        ("expand", "--f", "exp(z)", "--s", "z", "--order", "180"),
+        ("expand", "--f", "exp(z)", "--s", "z", "--tol-termination", "0"),
+        ("remainder", "--f", "exp(z)", "--s", "z", "--z", "0.5", "--samples", "1"),
+        ("teixeira", "--f", "exp(z)", "--s", "z", "--quadrature-points", "10"),
+        ("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "0:-1"),
+        ("check", "--order", "-1"),
+    ])
+    def test_invalid_value_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_without_path_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        deep = "(" * 3000 + "z" + ")" * 3000
+        code, out, err = run_cli(capsys, "expand", "--f", deep, "--s", "z")
+        assert code == 2
+        assert out == "" and "nesting deeper than 100 levels (at position 100)" in err
+
+
+class TestRecordedOutput:
+    def test_stdout_matches_recorded_digests(self, capsys):
+        digests = json.loads(CLI_DIGESTS.read_text(encoding="utf-8"))
+        assert digests
+        for argv, want in digests.items():
+            code, out, err = run_cli(capsys, *argv.split(" "))
+            assert code == 0, (argv, err)
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv

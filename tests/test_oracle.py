@@ -80,6 +80,15 @@ class TestArithmetic:
         np.testing.assert_allclose(
             exp_jet.compose(inner).coefficients, [1, 2, 2], atol=1e-15)
 
+    def test_mul_then_div_round_trip(self):
+        rng = np.random.default_rng(4242)
+        order = 12
+        a = TruncatedSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        b = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        b[0] += 2.0
+        b = TruncatedSeries(b)
+        np.testing.assert_allclose(((a * b) / b).coefficients, a.coefficients, atol=1e-10)
+
     def test_divide_by_singular_series(self):
         a = TruncatedSeries([1.0, 0.0])
         b = TruncatedSeries([0.0, 1.0])

@@ -237,7 +237,28 @@ class TestEngineInvariants:
             assert dev <= 1e-8, (label, n)
 
 
+#: explicit inverses g of the catalog's inner functions, written in s
+CATALOG_INVERSES = {
+    "power-8-in-2": "-log(s)/log(2)",
+    "power-9-in-3": "-log(s)/log(3)",
+    "binomial-family": "-log(s)/log(2)",
+    "square-of-exponential": "log(s)",
+    "degenerate-rational": "2+1/s",
+}
+
+
 class TestInverseCompositeRoute:
+    @pytest.mark.parametrize(
+        "label,f_text,s_text,z0", [p for p in CATALOG if p[0] in CATALOG_INVERSES])
+    def test_agrees_with_expand_on_catalog(self, label, f_text, s_text, z0):
+        order = 8
+        direct = expand_pair(f_text, s_text, z0, order)
+        via_inverse = inverse_composite_expand(
+            parse(f_text), parse(s_text), parse(CATALOG_INVERSES[label]), z0, order)
+        for n in range(order + 1):
+            dev = abs(direct.coefficients[n] - via_inverse.coefficients[n])
+            assert dev <= 1e-12 * max(1.0, abs(direct.coefficients[n])), (label, n)
+
     def test_square_through_logarithm(self):
         exp = inverse_composite_expand(
             parse("exp(2*z)"), parse("exp(z)"), parse("log(s)"), 0.0, 5)
