@@ -1,81 +1,38 @@
-"""Array kernels: both backends agree with each other and with direct math."""
+"""Array kernels behind TruncatedSeries, checked against direct formulas."""
 
 import numpy as np
 import pytest
 
-from funcseries import _kernels
+from funcseries import oracle
 
-RNG = np.random.default_rng(4242)
-
-BACKENDS = sorted(_kernels.IMPLEMENTATIONS)
-
-
-def random_series(order, nonzero0=False, zero0=False):
-    c = RNG.normal(size=order + 1) + 1j * RNG.normal(size=order + 1)
-    if nonzero0 and abs(c[0]) < 0.5:
-        c[0] += 1.0
-    if zero0:
-        c[0] = 0.0
-    return np.ascontiguousarray(c)
+KERNELS = {
+    "numpy": {
+        "series_mul": oracle._series_mul,
+        "series_div": oracle._series_div,
+        "series_compose": oracle._series_compose,
+    },
+}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(KERNELS))
 class TestAgainstDirectFormulas:
     def test_mul_geometric_times_alternating(self, backend):
-        impl = _kernels.IMPLEMENTATIONS[backend]
+        impl = KERNELS[backend]
         one_minus = np.array([1.0, -1.0, 0.0], dtype=np.complex128)
         one_plus = np.array([1.0, 1.0, 0.0], dtype=np.complex128)
         got = impl["series_mul"](one_plus, one_minus, 2)
         np.testing.assert_allclose(got, [1.0, 0.0, -1.0], atol=1e-15)
 
     def test_div_geometric(self, backend):
-        impl = _kernels.IMPLEMENTATIONS[backend]
+        impl = KERNELS[backend]
         num = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
         den = np.array([1.0, 1.0, 0.0], dtype=np.complex128)
         got = impl["series_div"](num, den, 2)
         np.testing.assert_allclose(got, [1.0, -1.0, 1.0], atol=1e-15)
 
     def test_compose_exp_double(self, backend):
-        impl = _kernels.IMPLEMENTATIONS[backend]
+        impl = KERNELS[backend]
         exp_jet = np.array([1.0, 1.0, 0.5], dtype=np.complex128)
         inner = np.array([0.0, 2.0, 0.0], dtype=np.complex128)
         got = impl["series_compose"](exp_jet, inner, 2)
         np.testing.assert_allclose(got, [1.0, 2.0, 2.0], atol=1e-15)
-
-    def test_mul_then_div_round_trip(self, backend):
-        impl = _kernels.IMPLEMENTATIONS[backend]
-        order = 12
-        a = random_series(order)
-        b = random_series(order, nonzero0=True)
-        prod = impl["series_mul"](a, b, order)
-        back = impl["series_div"](prod, b, order)
-        np.testing.assert_allclose(back, a, atol=1e-10)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="only one backend available")
-class TestBackendsAgree:
-    @pytest.mark.parametrize("order", [0, 1, 7, 33])
-    def test_all_three_ops(self, order):
-        a = random_series(order)
-        b = random_series(order, nonzero0=True)
-        inner = random_series(order, zero0=True)
-        ref = _kernels.IMPLEMENTATIONS["numpy"]
-        alt = _kernels.IMPLEMENTATIONS["numba"]
-        np.testing.assert_allclose(
-            alt["series_mul"](a, b, order), ref["series_mul"](a, b, order), atol=1e-12)
-        np.testing.assert_allclose(
-            alt["series_div"](a, b, order), ref["series_div"](a, b, order), atol=1e-12)
-        np.testing.assert_allclose(
-            alt["series_compose"](a, inner, order),
-            ref["series_compose"](a, inner, order), atol=1e-12)
-
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("FUNCSERIES_NO_NUMBA", "1")
-        assert _kernels._select_backend() == "numpy"
-
-    def test_default_prefers_numba_when_present(self, monkeypatch):
-        monkeypatch.delenv("FUNCSERIES_NO_NUMBA", raising=False)
-        want = "numba" if "numba" in _kernels.IMPLEMENTATIONS else "numpy"
-        assert _kernels._select_backend() == want
