@@ -51,9 +51,6 @@ from .series import (
 from .teixeira import (
     ContourSpec,
     TeixeiraExpansion,
-    constant_coefficient,
-    negative_power_coefficient,
-    positive_power_coefficient,
     teixeira_expand,
     teixeira_partial_sum,
 )

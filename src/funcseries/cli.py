@@ -38,13 +38,14 @@ from .errors import (
     SingularAtExpansionPoint,
     SingularEvaluation,
 )
-from .expr import evaluate, parse
+from .expr import Expr, evaluate, parse
 from .oracle import CATALOG, oracle_coefficients
 from .remainder import complex_bound, lagrange_bound, measured_error
 from .series import (
     DERIVATIVE_ZERO_TOL,
     TERMINATION_TOL,
     ExpansionRequest,
+    SeriesExpansion,
     expand,
 )
 from .teixeira import ContourSpec, teixeira_expand, teixeira_partial_sum
@@ -173,13 +174,14 @@ def _apply_config(argv: list[str]) -> list[str]:
     return head + [command] + injected + rest
 
 
-def _expansion_from(args) -> "tuple":
-    f = parse(args.f)
-    s = parse(args.s)
-    req = ExpansionRequest(f, s, args.z0, args.order,
-                           termination_tol=args.tol_termination,
-                           derivative_zero_tol=args.tol_deriv_zero)
-    return expand(req)
+def _request_from(args, f: Expr, s: Expr, z0: complex) -> ExpansionRequest:
+    return ExpansionRequest(f, s, z0, args.order,
+                            termination_tol=args.tol_termination,
+                            derivative_zero_tol=args.tol_deriv_zero)
+
+
+def _expansion_from(args) -> SeriesExpansion:
+    return expand(_request_from(args, parse(args.f), parse(args.s), args.z0))
 
 
 def cmd_expand(args) -> int:
@@ -233,13 +235,12 @@ def cmd_check(args) -> int:
     reports = []
     worst = 0.0
     for label, f_text, s_text, z0 in pairs:
-        exp = expand(ExpansionRequest(parse(f_text), parse(s_text), z0, args.order,
-                                      termination_tol=args.tol_termination,
-                                      derivative_zero_tol=args.tol_deriv_zero))
+        f, s = parse(f_text), parse(s_text)
+        exp = expand(_request_from(args, f, s, z0))
         engine = list(exp.coefficients)
         if args.corrupt is not None and 0 <= args.corrupt < len(engine):
             engine[args.corrupt] += 1.0
-        oracle = oracle_coefficients(parse(f_text), parse(s_text), z0, args.order)
+        oracle = oracle_coefficients(f, s, z0, args.order)
         deviation = max(abs(e - o) / max(1.0, abs(o))
                         for e, o in zip(engine, oracle))
         worst = max(worst, deviation)

@@ -15,6 +15,9 @@ N + 1 terms:
   unknown mean-value rotation adversarially inside its unit disk, which
   makes it |s(z) - s0|^(N+1)/(N+1)! times |ladder entry N+1 at z0|.
 
+Both bounds raise ValueError unless 0 <= N <= the expansion's order and
+N + 1 <= series.MAX_ORDER, beyond which (N+1)! no longer fits a float.
+
 All functions are pure over their inputs; note that they extend the
 expansion's cached ladder, so do not share one SeriesExpansion between
 threads while bounding.
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import NonMonotoneComposite
 from .expr import differentiate, evaluate
-from .series import SeriesExpansion, partial_sum
+from .series import MAX_ORDER, SeriesExpansion, partial_sum
 
 #: grid size used for monotonicity checking and the intermediate-point scan
 DEFAULT_SAMPLES = 64
@@ -59,6 +62,17 @@ class RemainderEstimate:
         }
 
 
+def _check_upto(exp: SeriesExpansion, upto: int) -> None:
+    if not 0 <= upto <= exp.order:
+        raise ValueError(f"upto must be in [0, {exp.order}]")
+    if upto + 1 > MAX_ORDER:
+        raise ValueError(f"bounds need upto < {MAX_ORDER}: (upto + 1)! must fit a float")
+
+
+def _mean_value_bound(span: float, upto: int, size: float) -> float:
+    return span ** (upto + 1) / math.factorial(upto + 1) * size
+
+
 def measured_error(exp: SeriesExpansion, z: complex, upto: int) -> RemainderEstimate:
     """Exact truncation error |f(z) - partial_sum(z, upto)|."""
     value = abs(evaluate(exp.f, z) - partial_sum(exp, z, upto))
@@ -73,6 +87,7 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
     vanishes) on the segment, since then the preimage of an
     intermediate s-value is ill-defined.
     """
+    _check_upto(exp, upto)
     z = complex(z)
     if z.imag != 0 or exp.z0.imag != 0:
         raise ValueError("the real-segment bound needs real z and z0")
@@ -95,7 +110,7 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
     entry = chain.entry(upto + 1)
     largest = max(abs(evaluate(entry, complex(x))) for x in grid)
     span = abs(evaluate(exp.s, z) - exp.s0)
-    bound = span ** (upto + 1) / math.factorial(upto + 1) * largest
+    bound = _mean_value_bound(span, upto, largest)
     return RemainderEstimate(upto, bound, "real-lagrange", z, samples)
 
 
@@ -105,8 +120,9 @@ def complex_bound(exp: SeriesExpansion, z: complex, upto: int) -> RemainderEstim
     Depends only on |s(z) - s0| and the (upto+1)'th ladder entry at z0;
     the unknown unit-disk rotation contributes its supremum 1.
     """
+    _check_upto(exp, upto)
     z = complex(z)
     entry_value = abs(evaluate(exp.chain().entry(upto + 1), exp.z0))
     span = abs(evaluate(exp.s, z) - exp.s0)
-    bound = span ** (upto + 1) / math.factorial(upto + 1) * entry_value
+    bound = _mean_value_bound(span, upto, entry_value)
     return RemainderEstimate(upto, bound, "complex-theta", z)

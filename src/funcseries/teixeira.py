@@ -19,6 +19,11 @@ The n = 0 coefficient falls outside those formulas; it is computed as
 f(a) when f is analytic at a and stays correct when f has poles inside
 the inner circle.
 
+Each integrand is evaluated once per contour node: f, theta' and theta
+on c1 for A_0, f' on c1 (with theta) for every A_n, and f' and theta on
+c2 for every B_n; the number of evaluations does not grow with the
+order.
+
 This module is the classical cross-check for the expansion engine:
 with theta(z) = z - z0 the A_n must match the engine's coefficients
 for s = z.  Quadrature sums run in a fixed sequential order, so results
@@ -108,56 +113,11 @@ def _values_on(e: Expr, zs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sequential_sum(values: np.ndarray) -> complex:
-    # cumulative sum fixes the summation order across backends
-    return complex(values.cumsum()[-1])
-
-
-def positive_power_coefficient(f: Expr, theta: Expr, contour: ContourSpec,
-                               n: int) -> complex:
-    """A_n for n >= 1 by trapezoidal quadrature on the outer circle."""
-    if n < 1:
-        raise ValueError("defined for n >= 1; use constant_coefficient for n = 0")
-    letter = sole_variable(f, theta)
-    zs, phase = contour.nodes()
-    fp = _values_on(differentiate(f, letter), zs)
-    th = _values_on(theta, zs)
-    if np.any(np.abs(th) < 1e-300):
-        raise QuadratureSingularity("theta vanishes on the outer contour")
-    integrand = fp * phase / th**n
+def _contour_sum(integrand: np.ndarray, contour: str) -> complex:
     if not np.all(np.isfinite(integrand)):
-        raise QuadratureSingularity("non-finite integrand on the outer contour")
-    return contour.radius / (n * len(zs)) * _sequential_sum(integrand)
-
-
-def negative_power_coefficient(f: Expr, theta: Expr, contour: ContourSpec,
-                               n: int) -> complex:
-    """B_n for n >= 1 by trapezoidal quadrature on the inner circle."""
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    letter = sole_variable(f, theta)
-    zs, phase = contour.nodes()
-    fp = _values_on(differentiate(f, letter), zs)
-    th = _values_on(theta, zs)
-    integrand = fp * phase * th**n
-    if not np.all(np.isfinite(integrand)):
-        raise QuadratureSingularity("non-finite integrand on the inner contour")
-    return -contour.radius / (n * len(zs)) * _sequential_sum(integrand)
-
-
-def constant_coefficient(f: Expr, theta: Expr, contour: ContourSpec) -> complex:
-    """The n = 0 coefficient via f * theta'/theta over the outer circle."""
-    letter = sole_variable(f, theta)
-    zs, phase = contour.nodes()
-    fv = _values_on(f, zs)
-    tp = _values_on(differentiate(theta, letter), zs)
-    th = _values_on(theta, zs)
-    if np.any(np.abs(th) < 1e-300):
-        raise QuadratureSingularity("theta vanishes on the outer contour")
-    integrand = fv * tp * phase / th
-    if not np.all(np.isfinite(integrand)):
-        raise QuadratureSingularity("non-finite integrand on the outer contour")
-    return contour.radius / len(zs) * _sequential_sum(integrand)
+        raise QuadratureSingularity(f"non-finite integrand on the {contour} contour")
+    # cumulative sum fixes the summation order
+    return complex(integrand.cumsum()[-1])
 
 
 def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
@@ -166,12 +126,28 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
     """Compute A_0..A_order and (with an inner contour) B_1..B_order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    a = [constant_coefficient(f, theta, outer)]
-    a += [positive_power_coefficient(f, theta, outer, n) for n in range(1, order + 1)]
+    letter = sole_variable(f, theta)
+    zs, phase = outer.nodes()
+    fv = _values_on(f, zs)
+    tp = _values_on(differentiate(theta, letter), zs)
+    th = _values_on(theta, zs)
+    if np.any(np.abs(th) < 1e-300):
+        raise QuadratureSingularity("theta vanishes on the outer contour")
+    a = [outer.radius / outer.points * _contour_sum(fv * tp * phase / th, "outer")]
     b = []
-    if inner is not None:
-        b = [negative_power_coefficient(f, theta, inner, n)
-             for n in range(1, order + 1)]
+    if order:  # A_0 alone needs no f'
+        fprime = differentiate(f, letter)
+        weighted = _values_on(fprime, zs) * phase
+        for n in range(1, order + 1):
+            a.append(outer.radius / (n * outer.points)
+                     * _contour_sum(weighted / th**n, "outer"))
+        if inner is not None:
+            zs, phase = inner.nodes()
+            weighted = _values_on(fprime, zs) * phase
+            th = _values_on(theta, zs)
+            for n in range(1, order + 1):
+                b.append(-inner.radius / (n * inner.points)
+                         * _contour_sum(weighted * th**n, "inner"))
 
     outer_min = min(abs(evaluate(theta, complex(z)))
                     for z in outer.nodes(VALIDITY_SAMPLES)[0])

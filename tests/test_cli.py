@@ -211,6 +211,7 @@ class TestInputErrors:
         ("expand", "--f", "exp(z)", "--s", "z", "--order", "180"),
         ("expand", "--f", "exp(z)", "--s", "z", "--tol-termination", "0"),
         ("remainder", "--f", "exp(z)", "--s", "z", "--z", "0.5", "--samples", "1"),
+        ("remainder", "--f", "exp(z)", "--s", "z", "--order", "170", "--z", "0.5"),
         ("teixeira", "--f", "exp(z)", "--s", "z", "--quadrature-points", "10"),
         ("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "0:-1"),
         ("check", "--order", "-1"),

@@ -8,7 +8,7 @@ import pytest
 from funcseries.errors import NonMonotoneComposite
 from funcseries.expr import evaluate, parse
 from funcseries.remainder import complex_bound, lagrange_bound, measured_error
-from funcseries.series import ExpansionRequest, expand
+from funcseries.series import MAX_ORDER, ExpansionRequest, expand
 
 #: real-z sweep points per catalog pair with a monotone inner segment
 REAL_CASES = [
@@ -82,6 +82,17 @@ class TestLagrangeBound:
         with pytest.raises(ValueError):
             lagrange_bound(exp, 0.5 + 0.2j, 2)
 
+    def test_upto_outside_expansion_rejected(self):
+        exp = expand_pair("exp(z)", "z", 0.0, 3)
+        for upto in (-1, exp.order + 1):
+            with pytest.raises(ValueError, match="upto must be in"):
+                lagrange_bound(exp, 0.5, upto)
+
+    def test_upto_at_order_limit_rejected(self):
+        exp = expand_pair("exp(z)", "z", 0.0, MAX_ORDER)
+        with pytest.raises(ValueError, match="fit a float"):
+            lagrange_bound(exp, 0.5, MAX_ORDER)
+
     def test_records_sample_count(self):
         exp = expand_pair("exp(z)", "z", 0.0, 2)
         assert lagrange_bound(exp, 0.5, 2, samples=48).samples == 48
@@ -124,6 +135,19 @@ class TestComplexBound:
         assert abs(back - 0.3) < 1e-8
         entry = exp.chain().entry(4)
         assert evaluate(entry, back) == pytest.approx(evaluate(entry, 0.3), rel=1e-9)
+
+    def test_upto_outside_expansion_rejected(self):
+        exp = expand_pair("exp(z)", "z", 0.0, 3)
+        for upto in (-1, exp.order + 1):
+            with pytest.raises(ValueError, match="upto must be in"):
+                complex_bound(exp, 0.5, upto)
+
+    def test_upto_at_order_limit_rejected(self):
+        # (MAX_ORDER + 1)! overflows a float
+        exp = expand_pair("exp(z)", "z", 0.0, MAX_ORDER)
+        with pytest.raises(ValueError, match="fit a float"):
+            complex_bound(exp, 0.5, MAX_ORDER)
+        assert complex_bound(exp, 0.5, MAX_ORDER - 1).bound >= 0
 
     def test_serialization(self):
         exp = expand_pair("exp(z)", "z", 0.0, 2)

@@ -8,17 +8,24 @@ import pytest
 from funcseries.errors import AnnulusViolation, QuadratureSingularity
 from funcseries.expr import const, parse
 from funcseries.series import ExpansionRequest, expand
+import funcseries.teixeira as teixeira
 from funcseries.teixeira import (
+    VALIDITY_SAMPLES,
     ContourSpec,
-    constant_coefficient,
-    negative_power_coefficient,
-    positive_power_coefficient,
     teixeira_expand,
     teixeira_partial_sum,
 )
 
 UNIT = ContourSpec(0.0, 1.0)
 HALF = ContourSpec(0.0, 0.5)
+
+
+def a_coefficients(f, theta, outer, order):
+    return teixeira_expand(f, theta, 0.0, outer, None, order).a_coefficients
+
+
+def b_coefficients(f, theta, inner, order):
+    return teixeira_expand(f, theta, 0.0, UNIT, inner, order).b_coefficients
 
 
 class TestContourSpec:
@@ -39,64 +46,62 @@ class TestContourSpec:
 class TestPositiveCoefficients:
     def test_taylor_values_for_exponential(self):
         # with theta = z the coefficients are 1/n!, from residue calculus
-        f, theta = parse("exp(z)"), parse("z")
+        a = a_coefficients(parse("exp(z)"), parse("z"), UNIT, 4)
         for n in (2, 4):
-            got = positive_power_coefficient(f, theta, UNIT, n)
-            assert got == pytest.approx(1 / math.factorial(n), abs=1e-8)
+            assert a[n] == pytest.approx(1 / math.factorial(n), abs=1e-8)
 
     def test_constant_function_gives_zero(self):
-        for n in range(1, 5):
-            got = positive_power_coefficient(const(3), parse("z"), UNIT, n)
+        for got in a_coefficients(const(3), parse("z"), UNIT, 4)[1:]:
             assert abs(got) < 1e-14
 
     def test_topmost_coefficient_via_function_value(self):
-        got = constant_coefficient(parse("exp(z)"), parse("z"), UNIT)
+        got = a_coefficients(parse("exp(z)"), parse("z"), UNIT, 0)[0]
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_theta_zero_on_contour_rejected(self):
         with pytest.raises(QuadratureSingularity):
-            positive_power_coefficient(parse("exp(z)"), parse("z - 1"), UNIT, 1)
+            a_coefficients(parse("exp(z)"), parse("z - 1"), UNIT, 1)
 
     def test_pole_on_contour_rejected(self):
         with pytest.raises(QuadratureSingularity):
-            positive_power_coefficient(parse("1/(z-1)"), parse("z"), UNIT, 1)
+            a_coefficients(parse("1/(z-1)"), parse("z"), UNIT, 1)
 
 
 class TestNegativeCoefficients:
     def test_entire_function_has_none(self):
-        f, theta = parse("exp(z)"), parse("z")
-        for n in range(1, 5):
-            assert abs(negative_power_coefficient(f, theta, HALF, n)) < 1e-10
+        for got in b_coefficients(parse("exp(z)"), parse("z"), HALF, 4):
+            assert abs(got) < 1e-10
 
     def test_simple_pole_residue(self):
         # f = 1/z: f' theta = -1/z integrates to -2 pi i, so B_1 = 1
-        got = negative_power_coefficient(parse("1/z"), parse("z"), HALF, 1)
+        got = b_coefficients(parse("1/z"), parse("z"), HALF, 1)[0]
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_constant_function_gives_zero(self):
-        assert abs(negative_power_coefficient(const(2), parse("z"), HALF, 1)) < 1e-14
+        assert abs(b_coefficients(const(2), parse("z"), HALF, 1)[0]) < 1e-14
 
 
 class TestQuadratureQuality:
     def test_doubling_nodes_changes_nothing_measurable(self):
         f, theta = parse("exp(z)"), parse("z")
+        at256 = a_coefficients(f, theta, ContourSpec(0, 1.0, 256), 5)
+        at512 = a_coefficients(f, theta, ContourSpec(0, 1.0, 512), 5)
         for n in range(1, 6):
-            at256 = positive_power_coefficient(f, theta, ContourSpec(0, 1.0, 256), n)
-            at512 = positive_power_coefficient(f, theta, ContourSpec(0, 1.0, 512), n)
-            assert abs(at512 - at256) <= 1e-10 * max(1.0, abs(at512))
+            assert abs(at512[n] - at256[n]) <= 1e-10 * max(1.0, abs(at512[n]))
 
     def test_contour_independence(self):
         f, theta = parse("exp(z)"), parse("z")
+        small = a_coefficients(f, theta, ContourSpec(0, 0.8), 5)
+        large = a_coefficients(f, theta, ContourSpec(0, 1.2), 5)
         for n in range(1, 6):
-            small = positive_power_coefficient(f, theta, ContourSpec(0, 0.8), n)
-            large = positive_power_coefficient(f, theta, ContourSpec(0, 1.2), n)
-            assert abs(large - small) <= 1e-9 * max(1.0, abs(small))
+            assert abs(large[n] - small[n]) <= 1e-9 * max(1.0, abs(small[n]))
 
     def test_bitwise_deterministic(self):
         f, theta = parse("exp(z)/(2-sin(z))"), parse("z")
-        a = positive_power_coefficient(f, theta, UNIT, 3)
-        b = positive_power_coefficient(f, theta, UNIT, 3)
-        assert a == b
+        a = teixeira_expand(f, theta, 0.0, UNIT, HALF, 3)
+        b = teixeira_expand(f, theta, 0.0, UNIT, HALF, 3)
+        assert a.a_coefficients == b.a_coefficients
+        assert a.b_coefficients == b.b_coefficients
 
     def test_cross_method_agreement_with_engine(self):
         # theta = z - z0 with a simple zero at z0 must reproduce the
@@ -109,6 +114,21 @@ class TestQuadratureQuality:
         for n in range(1, 9):
             dev = abs(tx.a_coefficients[n] - eng.coefficients[n])
             assert dev <= 1e-7 * max(1.0, abs(eng.coefficients[n])), n
+
+    @pytest.mark.parametrize("order", [3, 12])
+    def test_node_values_computed_once_per_contour(self, monkeypatch, order):
+        # f, theta', theta and f' on the outer nodes, f' and theta on the
+        # inner ones, and theta on both validity rings, whatever the order
+        calls = []
+        real_evaluate = teixeira.evaluate
+
+        def counting(e, z):
+            calls.append(z)
+            return real_evaluate(e, z)
+
+        monkeypatch.setattr(teixeira, "evaluate", counting)
+        teixeira_expand(parse("exp(z)/(2-sin(z))"), parse("z"), 0.0, UNIT, HALF, order)
+        assert len(calls) == 6 * UNIT.points + 2 * VALIDITY_SAMPLES == 3200
 
 
 class TestPartialSum:
