@@ -9,12 +9,12 @@ Subcommands:
 * ``teixeira``  -- two-sided contour-coefficient report (--s supplies theta)
 
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 invalid values
-(a negative or too large order, a non-positive tolerance or radius, too
-few samples or quadrature points) and other errors, 2 parse and usage
-errors, 3 vanishing inner derivative at the expansion point,
-4 singularities, 5 oracle disagreement.  Output is deterministic for a
-fixed configuration: floats print as their shortest round-trip decimal
-and JSON key order is fixed.
+(a negative or too large order, a tolerance or radius that is not
+positive and finite, too few samples or quadrature points) and other
+errors, 2 parse and usage errors, 3 vanishing inner derivative at the
+expansion point, 4 singularities, 5 oracle disagreement.  Output is
+deterministic for a fixed configuration: floats print as their shortest
+round-trip decimal and JSON key order is fixed.
 
 A config file of ``key=value`` lines (keys named like the long flags,
 e.g. ``order=6``) supplies defaults; explicit flags win.

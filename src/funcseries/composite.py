@@ -42,9 +42,7 @@ from .expr import (
 
 def d_ds(e: Expr, s: Expr, letter: str | None = None) -> Expr:
     """One application of (1/s'(z)) d/dz to e, simplified."""
-    letter = letter or sole_variable(e, s)
-    _require_nonconstant(s, letter)
-    return simplify(divide(differentiate(e, letter), differentiate(s, letter)))
+    return OperatorChain(e, s, letter).entry(1)
 
 
 class OperatorChain:
@@ -59,7 +57,7 @@ class OperatorChain:
         self.f = f
         self.s = s
         self._sprime = differentiate(s, self.letter)
-        _require_nonconstant(s, self.letter, sprime=self._sprime)
+        _require_nonconstant(self._sprime)
         self._entries: list[Expr] = [f]
 
     def entry(self, n: int) -> Expr:
@@ -96,7 +94,7 @@ def z_derivative_via_s(k: Expr, s: Expr, n: int,
     if extra:
         raise ValueError(f"k may only use variable {s_letter!r}, found {sorted(extra)}")
     sprime = differentiate(s, letter)
-    _require_nonconstant(s, letter, sprime=sprime)
+    _require_nonconstant(sprime)
     g = k
     for _ in range(n):
         g = simplify(add(multiply(sprime, differentiate(g, s_letter)),
@@ -104,7 +102,6 @@ def z_derivative_via_s(k: Expr, s: Expr, n: int,
     return simplify(substitute(g, s_letter, s))
 
 
-def _require_nonconstant(s: Expr, letter: str, sprime: Expr | None = None):
-    sprime = sprime if sprime is not None else differentiate(s, letter)
+def _require_nonconstant(sprime: Expr):
     if simplify(sprime) == const(0):
         raise ConstantComposite("inner function has identically zero derivative")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -270,11 +271,12 @@ def differentiate(e: Expr, letter: str = "z") -> Expr:
 # integer-power factors, and x/x -> 1 by structural equality.  The rule
 # set is closed under itself, which makes the pass idempotent without
 # fixpoint iteration.
+#
+# Node shapes the rules share have one builder each: _power_of (base^k
+# for an integer k), _negated (minus a simplified node) and
+# _rebuild_product (a signed product with repeated bases merged);
+# _split_power reads a factor's base and positive integer exponent.
 # --------------------------------------------------------------------------
-
-_ZERO = const(0)
-_ONE = const(1)
-
 
 def _is_const(e: Expr, v=None) -> bool:
     return e.kind == CONST and (v is None or e.value == v)
@@ -292,6 +294,29 @@ def _int_exponent(e: Expr) -> int | None:
     return None
 
 
+def _power_of(base: Expr, k: int) -> Expr:
+    """base^k for an integer k, or base itself when k is 1."""
+    return base if k == 1 else Expr(POWER, (base, const(k)))
+
+
+def _negated(e: Expr) -> Expr:
+    """-e for a simplified e: constants fold and a double minus cancels."""
+    if e.kind == CONST:
+        return const(-e.value)
+    if e.kind == NEGATE:
+        return e.args[0]
+    return Expr(NEGATE, (e,))
+
+
+def _split_power(f: Expr) -> tuple[Expr, int]:
+    """(base, k) when f is base^k with k a positive integer, else (f, 1)."""
+    if f.kind == POWER:
+        k = _int_exponent(f.args[1])
+        if k is not None and k > 0:
+            return f.args[0], k
+    return f, 1
+
+
 def simplify(e: Expr) -> Expr:
     if e.kind in (CONST, VAR):
         return e
@@ -300,12 +325,7 @@ def simplify(e: Expr) -> Expr:
     if e.kind == ADD:
         return _simplify_add(args)
     if e.kind == NEGATE:
-        (child,) = args
-        if child.kind == CONST:
-            return const(-child.value)
-        if child.kind == NEGATE:
-            return child.args[0]
-        return Expr(NEGATE, (child,))
+        return _negated(args[0])
     if e.kind == MULTIPLY:
         return _simplify_multiply(args)
     if e.kind == DIVIDE:
@@ -334,9 +354,8 @@ def _coeff_and_factors(t: Expr) -> tuple[Number, list[Expr]]:
 
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
-    order: list[frozenset] = []
-    coeffs: dict[frozenset, Number] = {}
-    parts_of: dict[frozenset, list[Expr]] = {}
+    # factor multiset -> [summed coefficient, factors as first seen]
+    like: dict[frozenset, list] = {}
     constant: Number = Fraction(0)
     for a in args:
         for t in (a.args if a.kind == ADD else (a,)):
@@ -344,23 +363,16 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
                 constant = constant + t.value
                 continue
             coeff, factors = _coeff_and_factors(t)
-            counted: dict[Expr, int] = {}
-            for f in factors:
-                counted[f] = counted.get(f, 0) + 1
-            key = frozenset(counted.items())
-            if key in coeffs:
-                coeffs[key] = coeffs[key] + coeff
+            key = frozenset(Counter(factors).items())
+            if key in like:
+                like[key][0] += coeff
             else:
-                coeffs[key] = coeff
-                parts_of[key] = factors
-                order.append(key)
+                like[key] = [coeff, factors]
 
     terms: list[Expr] = []
-    for key in order:
-        coeff = coeffs[key]
+    for coeff, factors in like.values():
         if coeff == 0:
             continue
-        factors = parts_of[key]
         if coeff == 1 and len(factors) == 1:
             terms.append(factors[0])
         else:
@@ -383,56 +395,45 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     return Expr(ADD, tuple(terms))
 
 
-def _tally_factors(parts) -> tuple[dict[Expr, int], list[Expr]]:
+def _tally_factors(parts) -> tuple[Counter, list[Expr]]:
     """Split factors into (base -> positive int exponent, opaque leftovers)."""
-    exps: dict[Expr, int] = {}
+    exps: Counter = Counter()
     opaque: list[Expr] = []
     for f in parts:
-        base, exp = f, 1
-        if f.kind == POWER:
-            k = _int_exponent(f.args[1])
-            if k is not None and k > 0:
-                base, exp = f.args[0], k
+        base, exp = _split_power(f)
         if base.kind == CONST or (base is f and f.kind == POWER):
             opaque.append(f)
         else:
-            exps[base] = exps.get(base, 0) + exp
+            exps[base] += exp
     return exps, opaque
 
 
 def _combine_quotients(terms: list[Expr]) -> Expr:
     """Rewrite t1 + t2 + ... as one quotient over the least common denominator."""
     info = []
-    lcd_exps: dict[Expr, int] = {}
-    lcd_opaque: dict[Expr, int] = {}
+    lcd_exps: Counter = Counter()
+    lcd_opaque: Counter = Counter()
     for t in terms:
         nums, dens, cst = _split_quotient(t)
         exps, opaque = _tally_factors(dens)
-        opq: dict[Expr, int] = {}
-        for o in opaque:
-            opq[o] = opq.get(o, 0) + 1
+        opq = Counter(opaque)
         info.append((nums, cst, exps, opq))
-        for b, k in exps.items():
-            lcd_exps[b] = max(lcd_exps.get(b, 0), k)
-        for o, k in opq.items():
-            lcd_opaque[o] = max(lcd_opaque.get(o, 0), k)
+        lcd_exps |= exps
+        lcd_opaque |= opq
 
     new_terms = []
     for nums, cst, exps, opq in info:
         extra: list[Expr] = []
         for b, k in lcd_exps.items():
-            missing = k - exps.get(b, 0)
+            missing = k - exps[b]
             if missing:
-                extra.append(b if missing == 1 else Expr(POWER, (b, const(missing))))
+                extra.append(_power_of(b, missing))
         for o, k in lcd_opaque.items():
-            extra.extend([o] * (k - opq.get(o, 0)))
+            extra.extend([o] * (k - opq[o]))
         new_terms.append(_simplify_multiply((const(cst), *nums, *extra)))
 
-    den_factors: list[Expr] = []
-    for b, k in lcd_exps.items():
-        den_factors.append(b if k == 1 else Expr(POWER, (b, const(k))))
-    for o, k in lcd_opaque.items():
-        den_factors.extend([o] * k)
+    den_factors = [_power_of(b, k) for b, k in lcd_exps.items()]
+    den_factors.extend(lcd_opaque.elements())
     num_node = _simplify_add(tuple(new_terms))
     den_node = _simplify_multiply(tuple(den_factors)) if den_factors else const(1)
     return _simplify_divide(num_node, den_node)
@@ -465,11 +466,10 @@ def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
             factors.append(f)
     if constant == 0:
         return const(0)
+    num = _rebuild_product(constant, factors)
     if denominators:
-        num = _rebuild_product(constant, _merge_power_factors(factors))
-        den = _simplify_multiply(tuple(denominators))
-        return _simplify_divide(num, den)
-    return _rebuild_product(constant, _merge_power_factors(factors))
+        return _simplify_divide(num, _simplify_multiply(tuple(denominators)))
+    return num
 
 
 def _merge_power_factors(factors: list[Expr]) -> list[Expr]:
@@ -494,54 +494,43 @@ def _merge_power_factors(factors: list[Expr]) -> list[Expr]:
 
     rebuilt: list[Expr] = []
     for item in merged:
-        if isinstance(item, tuple):
-            base, n = item
-            if n == 0:
-                continue
-            rebuilt.append(base if n == 1 else Expr(POWER, (base, const(n))))
-        else:
+        if isinstance(item, Expr):
             rebuilt.append(item)
+        elif item[1] != 0:
+            rebuilt.append(_power_of(*item))
     return rebuilt
 
 
 def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
+    """constant times the factors as one node.
+
+    Repeated bases merge into integer powers, constant factors fold into
+    the coefficient, and a coefficient of -1 becomes a negation.
+    """
     rest: list[Expr] = []
-    for f in factors:
+    for f in _merge_power_factors(factors):
         if f.kind == CONST:
             constant = constant * f.value
         else:
             rest.append(f)
     if constant == 0:
         return const(0)
-    factors = rest
-    negated = False
-    if constant == -1 and factors:
-        negated = True
-    elif constant != 1 or not factors:
-        factors = [const(constant)] + factors
-    if not factors:
-        return const(1)
-    out = factors[0] if len(factors) == 1 else Expr(MULTIPLY, tuple(factors))
-    return Expr(NEGATE, (out,)) if negated else out
+    if not rest:
+        return const(constant)
+    if constant != 1 and constant != -1:
+        rest.insert(0, const(constant))
+    out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
+    return Expr(NEGATE, (out,)) if constant == -1 else out
 
 
 def _simplify_divide(num: Expr, den: Expr) -> Expr:
-    negated = False
+    negated = (num.kind == NEGATE) != (den.kind == NEGATE)
     if num.kind == NEGATE:
-        negated = not negated
         num = num.args[0]
     if den.kind == NEGATE:
-        negated = not negated
         den = den.args[0]
     out = _divide_core(num, den)
-    if negated:
-        if out.kind == CONST:
-            out = const(-out.value)
-        elif out.kind == NEGATE:
-            out = out.args[0]
-        else:
-            out = Expr(NEGATE, (out,))
-    return out
+    return _negated(out) if negated else out
 
 
 def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
@@ -586,7 +575,7 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
         inner = t.args[0] if t.kind == NEGATE else t
         parts = inner.args if inner.kind == MULTIPLY else (inner,)
         tally = _tally_factors(parts)[0]
-        term_info.append((t, inner, tally))
+        term_info.append((t, parts))
         common = tally if common is None else {
             b: min(k, common[b]) for b, k in tally.items() if b in common}
         if not common:
@@ -596,35 +585,27 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
         return [], addnode
 
     reduced_terms = []
-    for t, inner, _ in term_info:
+    for t, parts in term_info:
         remaining = dict(common)
         kept: list[Expr] = []
         constant: Number = Fraction(1)
-        for f in (inner.args if inner.kind == MULTIPLY else (inner,)):
-            base, exp = f, 1
-            if f.kind == POWER:
-                k = _int_exponent(f.args[1])
-                if k is not None and k > 0:
-                    base, exp = f.args[0], k
+        for f in parts:
             if f.kind == CONST:
                 constant = constant * f.value
                 continue
+            base, exp = _split_power(f)
             take = remaining.get(base, 0)
             if take:
                 drop = min(take, exp)
                 remaining[base] = take - drop
-                if take - drop == 0:
-                    del remaining[base]
-                exp -= drop
-                if exp == 0:
-                    continue
-                kept.append(base if exp == 1 else Expr(POWER, (base, const(exp))))
+                if exp > drop:
+                    kept.append(_power_of(base, exp - drop))
             else:
                 kept.append(f)
         if t.kind == NEGATE:
             constant = -constant
         reduced_terms.append(_rebuild_product(constant, kept))
-    factors = [b if k == 1 else Expr(POWER, (b, const(k))) for b, k in common.items()]
+    factors = [_power_of(b, k) for b, k in common.items()]
     return factors, _simplify_add(tuple(reduced_terms))
 
 
@@ -702,25 +683,16 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
     # values are accumulated integer exponents
     num_exps, num_opaque = _tally_factors(num_parts)
     den_exps, den_opaque = _tally_factors(den_parts)
-    for base in list(den_exps):
+    for base in den_exps:
         if base in num_exps:
             k = min(num_exps[base], den_exps[base])
             num_exps[base] -= k
             den_exps[base] -= k
+    num_powers = [_power_of(b, k) for b, k in num_exps.items() if k]
+    den_powers = [_power_of(b, k) for b, k in den_exps.items() if k]
+    new_num = _rebuild_product(constant, num_powers + num_opaque)
+    new_den = _rebuild_product(divide_by, den_powers + den_opaque)
 
-    def rebuild(exps: dict[Expr, int], opaque: list[Expr]) -> list[Expr]:
-        out = []
-        for base, exp in exps.items():
-            if exp == 0:
-                continue
-            out.append(base if exp == 1 else Expr(POWER, (base, const(exp))))
-        return out + opaque
-
-    new_num = _rebuild_product(constant, _merge_power_factors(rebuild(num_exps, num_opaque)))
-    new_den = _rebuild_product(divide_by, _merge_power_factors(rebuild(den_exps, den_opaque)))
-
-    if _is_const(new_den, 1):
-        return new_num
     if new_num == num and new_den == den:
         return Expr(DIVIDE, (num, den))
     return _simplify_divide(new_num, new_den)
@@ -751,13 +723,7 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
         # integer powers distribute exactly over signs, products, quotients
         if base.kind == NEGATE:
             inner = _simplify_power(base.args[0], const(n))
-            if n % 2 == 0:
-                return inner
-            if inner.kind == CONST:
-                return const(-inner.value)
-            if inner.kind == NEGATE:
-                return inner.args[0]
-            return Expr(NEGATE, (inner,))
+            return inner if n % 2 == 0 else _negated(inner)
         if base.kind == MULTIPLY:
             return _simplify_multiply(
                 tuple(_simplify_power(f, const(n)) for f in base.args))
@@ -801,10 +767,6 @@ def _as_python_number(v: Number):
 # evaluation
 # --------------------------------------------------------------------------
 
-def _finite(z: complex) -> bool:
-    return cmath.isfinite(z)
-
-
 def _on_principal_branch(u: complex) -> complex:
     # pin the branch cut to the limit from above: -0.0 imaginary parts
     # would otherwise flip log/sqrt/power across the cut depending on
@@ -823,10 +785,10 @@ def evaluate(e: Expr, at: complex) -> complex:
     rejected outright.
     """
     z = complex(at)
-    if not _finite(z):
+    if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {at!r}")
     out = _eval(e, z)
-    if not _finite(out):
+    if not cmath.isfinite(out):
         raise SingularEvaluation(f"non-finite value at z={z}")
     return out
 
@@ -868,7 +830,7 @@ def _eval(e: Expr, z: complex) -> complex:
             out = FUNCTIONS[e.name][0](u)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise SingularEvaluation(f"{e.name} undefined at z={z}: {exc}") from exc
-        if not _finite(out):
+        if not cmath.isfinite(out):
             raise SingularEvaluation(f"{e.name} non-finite at z={z}")
         return out
     raise AssertionError(f"unreachable node kind {e.kind}")

@@ -79,8 +79,9 @@ class ExpansionRequest:
             raise ValueError("order must be >= 0")
         if self.order > MAX_ORDER:
             raise ValueError(f"order must be <= {MAX_ORDER}")
-        if self.termination_tol <= 0 or self.derivative_zero_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.termination_tol < math.inf
+                and 0 < self.derivative_zero_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         object.__setattr__(self, "z0", complex(self.z0))
 
 

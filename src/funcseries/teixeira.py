@@ -34,6 +34,7 @@ caller's responsibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class ContourSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if self.points < 16:
             raise ValueError("need at least 16 quadrature points")
         if self.points & (self.points - 1):
@@ -162,14 +163,18 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
 def teixeira_partial_sum(tx: TeixeiraExpansion, x: complex, upto: int) -> complex:
     """Two-sided sum at x, after checking the sampled validity ring.
 
+    Sums A_0..A_upto and B_1..B_upto; upto must lie in [0, order].
     Negative-power terms below the negligible-coefficient threshold are
     dropped, so purely positive expansions remain usable where theta
     vanishes.
     """
+    order = len(tx.a_coefficients) - 1
+    if not 0 <= upto <= order:
+        raise ValueError(f"upto must be in [0, {order}]")
     x = complex(x)
     tv = evaluate(tx.theta, x)
     size = abs(tv)
-    if size >= tx.outer_theta_min and upto >= 1 and len(tx.a_coefficients) > 1:
+    if size >= tx.outer_theta_min and upto >= 1:
         raise AnnulusViolation(
             f"|theta(x)| = {size:.6g} >= {tx.outer_theta_min:.6g}, the smallest "
             f"|theta| sampled on the outer contour")

@@ -222,6 +222,18 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (("expand", "--f", "exp(2*z)", "--s", "exp(z)", "--order", "6",
+          "--tol-termination", "nan"), "tolerances must be positive and finite"),
+        (("expand", "--f", "exp(z)", "--s", "z^2", "--order", "3",
+          "--tol-deriv-zero", "nan"), "tolerances must be positive and finite"),
+        (("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "0:nan"),
+         "radius must be positive and finite"),
+    ])
+    def test_non_finite_tolerance_or_radius_exits_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--config"])

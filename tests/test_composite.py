@@ -1,5 +1,6 @@
 """Iterated composite-derivative operator and its reverse direction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,12 +18,26 @@ from funcseries.expr import (
     differentiate,
     divide,
     evaluate,
+    format_expr,
     parse,
     simplify,
     substitute,
 )
+from funcseries.oracle import CATALOG
 
 RNG = np.random.default_rng(907)
+
+#: sha256 of the text of ladder entries 0..9 of every CATALOG pair
+LADDER_TEXT_SHA256 = {
+    "rational-in-sine": "cb9b6790fc66cb9c8d9cbdc6a5c4a5a378af36ba793561e777db089823fcb4fd",
+    "binomial-family": "6404541fc7f166494ff76c136d4c2e530812883d29553334ef446d87d43d32d6",
+    "power-8-in-2": "bd5b6707e3e502337e02adc3bdfa506aa842ad670575d06d3648bfc5f6a88d02",
+    "power-9-in-3": "1162aff164e1a74b9fa1509ba630d20c193712189d95e014a8668dcf2ffd74f0",
+    "power-5-in-2": "6e18613b625fdf84e246e76c53429f47664404b9cc7a4a5dcb976d24a28b5fb5",
+    "degenerate-rational": "d331f4a20a5354090b3ca47374f8df2943f254a062c539925cf8e36206b5046e",
+    "square-of-exponential":
+        "61841bc01cb8d4315e26134355f13d10fcb1cba289c5f4997f486334f3a22982",
+}
 
 #: inner functions paired with sample points where they are well-behaved
 INNERS = {
@@ -81,6 +96,14 @@ class TestChain:
         a = composite_derivative(f, s, 3)
         b = composite_derivative(f, s, 3)
         assert a == b
+
+    @pytest.mark.parametrize("label,f_text,s_text,z0", CATALOG)
+    def test_ladder_text_matches_recorded_digest(self, label, f_text, s_text, z0):
+        # sha256 of format_expr of entries 0..9, one per line; any change to
+        # how the simplifier shapes a ladder entry moves these digests
+        chain = OperatorChain(parse(f_text), parse(s_text))
+        text = "\n".join(format_expr(chain.entry(n)) for n in range(10))
+        assert hashlib.sha256(text.encode()).hexdigest() == LADDER_TEXT_SHA256[label]
 
 
 class TestCompositeDerivative:

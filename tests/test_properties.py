@@ -1,5 +1,6 @@
-"""Generated-input checks: the three coefficient routes agree, and the
-simplifier and formatter keep their contracts on random trees.
+"""Generated-input checks: the three coefficient routes agree, ladder and
+jets also agree for inner functions other than z, and the simplifier
+and formatter keep their contracts on random trees.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -72,6 +73,11 @@ TREES = st.recursive(
     _any, max_leaves=12)
 
 
+#: inner functions with s'(z0) != 0 at every expansion point drawn below
+INNERS = [parse(text) for text in
+          ("sin(z)", "exp(z)", "z + z^2/4", "sinh(z)", "2^(-z)", "z/(1+z)")]
+
+
 def _deviation(got, want) -> float:
     return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
 
@@ -86,6 +92,15 @@ def test_three_routes_agree_on_entire_functions(f, z0):
     assert len(engine) == len(oracle) == len(quadrature) == ORDER + 1
     assert _deviation(oracle, engine) < AGREEMENT_TOL, format_expr(f)
     assert _deviation(quadrature, engine) < AGREEMENT_TOL, format_expr(f)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(f=ENTIRE, s=st.sampled_from(INNERS), z0=st.sampled_from([0.0, 0.25, -0.5]))
+def test_ladder_and_jets_agree_for_generated_inner_functions(f, s, z0):
+    engine = expand(ExpansionRequest(f, s, z0, ORDER)).coefficients
+    oracle = oracle_coefficients(f, s, z0, ORDER)
+    assert len(engine) == len(oracle) == ORDER + 1
+    assert _deviation(oracle, engine) < AGREEMENT_TOL, (format_expr(f), format_expr(s))
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)

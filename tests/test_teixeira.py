@@ -32,6 +32,9 @@ class TestContourSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ContourSpec(0.0, -1.0)
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                ContourSpec(0.0, radius)
         with pytest.raises(ValueError):
             ContourSpec(0.0, 1.0, points=8)
         with pytest.raises(ValueError):
@@ -160,6 +163,13 @@ class TestPartialSum:
                              ContourSpec(0.0, 2.0), ContourSpec(0.0, 0.5), 6)
         with pytest.raises(AnnulusViolation):
             teixeira_partial_sum(tx, 0.2, 6)
+
+    @pytest.mark.parametrize("upto", [-1, 40])
+    def test_upto_outside_order_rejected(self, upto):
+        tx = teixeira_expand(parse("1/z + exp(z)"), parse("z"), 0.0,
+                             ContourSpec(0.0, 2.0), ContourSpec(0.0, 0.5), 4)
+        with pytest.raises(ValueError, match=r"upto must be in \[0, 4\]"):
+            teixeira_partial_sum(tx, 1.0, upto)
 
     def test_serialization_shape(self):
         tx = teixeira_expand(parse("exp(z)"), parse("z"), 0.0, UNIT, HALF, 3)
