@@ -274,8 +274,10 @@ def differentiate(e: Expr, letter: str = "z") -> Expr:
 #
 # Node shapes the rules share have one builder each: _power_of (base^k
 # for an integer k), _negated (minus a simplified node) and
-# _rebuild_product (a signed product with repeated bases merged);
-# _split_power reads a factor's base and positive integer exponent.
+# _rebuild_product (a signed product with repeated bases merged).  They
+# have one reader each: _split_quotient reads a term's numerator and
+# denominator factors and its signed constant, and _split_power reads a
+# factor's base and integer exponent.
 # --------------------------------------------------------------------------
 
 def _is_const(e: Expr, v=None) -> bool:
@@ -309,12 +311,16 @@ def _negated(e: Expr) -> Expr:
 
 
 def _split_power(f: Expr) -> tuple[Expr, int]:
-    """(base, k) when f is base^k with k a positive integer, else (f, 1)."""
+    """(base, k) when f is base^k with k an integer, else (f, 1)."""
     if f.kind == POWER:
         k = _int_exponent(f.args[1])
-        if k is not None and k > 0:
+        if k is not None:
             return f.args[0], k
     return f, 1
+
+
+def _is_quotient(t: Expr) -> bool:
+    return t.kind == DIVIDE or (t.kind == NEGATE and t.args[0].kind == DIVIDE)
 
 
 def simplify(e: Expr) -> Expr:
@@ -337,21 +343,6 @@ def simplify(e: Expr) -> Expr:
     raise AssertionError(f"unreachable node kind {e.kind}")
 
 
-def _coeff_and_factors(t: Expr) -> tuple[Number, list[Expr]]:
-    """Split a simplified non-const term into (numeric coefficient, factors)."""
-    coeff: Number = Fraction(1)
-    if t.kind == NEGATE:
-        coeff = -coeff
-        t = t.args[0]
-    factors: list[Expr] = []
-    for f in (t.args if t.kind == MULTIPLY else (t,)):
-        if f.kind == CONST:
-            coeff = coeff * f.value
-        else:
-            factors.append(f)
-    return coeff, factors
-
-
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
     # factor multiset -> [summed coefficient, factors as first seen]
@@ -362,7 +353,12 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             if t.kind == CONST:
                 constant = constant + t.value
                 continue
-            coeff, factors = _coeff_and_factors(t)
+            if not _is_quotient(t):
+                factors, _, coeff = _split_quotient(t)
+            elif t.kind == NEGATE:  # a quotient stays whole
+                coeff, factors = Fraction(-1), [t.args[0]]
+            else:
+                coeff, factors = Fraction(1), [t]
             key = frozenset(Counter(factors).items())
             if key in like:
                 like[key][0] += coeff
@@ -379,10 +375,7 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             terms.append(_simplify_multiply((const(coeff), *factors)))
 
     # bring sums of quotients over one denominator so like terms can meet
-    def is_quotient(t: Expr) -> bool:
-        return t.kind == DIVIDE or (t.kind == NEGATE and t.args[0].kind == DIVIDE)
-
-    if any(is_quotient(t) for t in terms) and len(terms) + (constant != 0) > 1:
+    if any(_is_quotient(t) for t in terms) and len(terms) + (constant != 0) > 1:
         combined = list(terms)
         if constant != 0:
             combined.append(const(constant))
@@ -401,7 +394,7 @@ def _tally_factors(parts) -> tuple[Counter, list[Expr]]:
     opaque: list[Expr] = []
     for f in parts:
         base, exp = _split_power(f)
-        if base.kind == CONST or (base is f and f.kind == POWER):
+        if base.kind == CONST or exp < 1 or (base is f and f.kind == POWER):
             opaque.append(f)
         else:
             exps[base] += exp
@@ -472,43 +465,28 @@ def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
     return num
 
 
-def _merge_power_factors(factors: list[Expr]) -> list[Expr]:
-    """Merge repeated bases with integer exponents: x * x^2 -> x^3."""
-    merged: list[tuple[Expr, int] | Expr] = []
-    index: dict[Expr, int] = {}
-    for f in factors:
-        base, exp = f, 1
-        is_int_power = False
-        if f.kind == POWER:
-            n = _int_exponent(f.args[1])
-            if n is not None:
-                base, exp, is_int_power = f.args[0], n, True
-        if base in index and isinstance(merged[index[base]], tuple):
-            b, n = merged[index[base]]
-            merged[index[base]] = (b, n + exp)
-        elif is_int_power or f.kind != POWER:
-            index[base] = len(merged)
-            merged.append((base, exp))
-        else:
-            merged.append(f)
-
-    rebuilt: list[Expr] = []
-    for item in merged:
-        if isinstance(item, Expr):
-            rebuilt.append(item)
-        elif item[1] != 0:
-            rebuilt.append(_power_of(*item))
-    return rebuilt
-
-
 def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
     """constant times the factors as one node.
 
-    Repeated bases merge into integer powers, constant factors fold into
-    the coefficient, and a coefficient of -1 becomes a negation.
+    Repeated bases merge into integer powers (x * x^2 -> x^3), constant
+    factors fold into the coefficient, and a coefficient of -1 becomes a
+    negation.  A power with a non-integer exponent merges into an earlier
+    entry of that whole power as base, but never starts an entry.
     """
+    merged: list[list] = []  # [base, summed exponent], or [factor, None] kept whole
+    for f in factors:
+        base, k = _split_power(f)
+        for entry in merged:
+            if entry[1] is not None and entry[0] == base:
+                entry[1] += k
+                break
+        else:
+            merged.append([base, None if base is f and f.kind == POWER else k])
     rest: list[Expr] = []
-    for f in _merge_power_factors(factors):
+    for base, k in merged:
+        if k == 0:
+            continue
+        f = base if k is None else _power_of(base, k)
         if f.kind == CONST:
             constant = constant * f.value
         else:
@@ -572,10 +550,9 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
     term_info = []
     common: dict[Expr, int] | None = None
     for t in addnode.args:
-        inner = t.args[0] if t.kind == NEGATE else t
-        parts = inner.args if inner.kind == MULTIPLY else (inner,)
+        parts, _, constant = _split_quotient(t)
         tally = _tally_factors(parts)[0]
-        term_info.append((t, parts))
+        term_info.append((parts, constant))
         common = tally if common is None else {
             b: min(k, common[b]) for b, k in tally.items() if b in common}
         if not common:
@@ -585,14 +562,10 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
         return [], addnode
 
     reduced_terms = []
-    for t, parts in term_info:
+    for parts, constant in term_info:
         remaining = dict(common)
         kept: list[Expr] = []
-        constant: Number = Fraction(1)
         for f in parts:
-            if f.kind == CONST:
-                constant = constant * f.value
-                continue
             base, exp = _split_power(f)
             take = remaining.get(base, 0)
             if take:
@@ -602,8 +575,6 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
                     kept.append(_power_of(base, exp - drop))
             else:
                 kept.append(f)
-        if t.kind == NEGATE:
-            constant = -constant
         reduced_terms.append(_rebuild_product(constant, kept))
     factors = [_power_of(b, k) for b, k in common.items()]
     return factors, _simplify_add(tuple(reduced_terms))
@@ -641,9 +612,7 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
     if _is_const(num, 0) and not _is_const(den, 0):
         return const(0)
     if num.kind == CONST and den.kind == CONST and den.value != 0:
-        if isinstance(num.value, Fraction) and isinstance(den.value, Fraction):
-            return const(num.value / den.value)
-        return const(_as_python_number(num.value) / _as_python_number(den.value))
+        return const(num.value / den.value)
     if num == den and not _is_const(num, 0):
         return const(1)
 
@@ -711,14 +680,10 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
         if ev is not None and not isinstance(ev, complex) and ev > 0:
             return const(0)
     if base.kind == CONST and n is not None:
-        if isinstance(base.value, Fraction):
-            if base.value != 0 or n >= 0:
-                return const(base.value ** n)
-        else:
-            try:
-                return const(_as_python_number(base.value) ** n)
-            except ZeroDivisionError:
-                pass
+        try:
+            return const(base.value ** n)
+        except ZeroDivisionError:
+            pass
     if n is not None:
         # integer powers distribute exactly over signs, products, quotients
         if base.kind == NEGATE:
@@ -757,10 +722,6 @@ def _simplify_call(name: str, arg: Expr) -> Expr:
         if folded is not None:
             return folded
     return Expr(CALL, (arg,), name=name)
-
-
-def _as_python_number(v: Number):
-    return float(v) if isinstance(v, Fraction) else v
 
 
 # --------------------------------------------------------------------------
