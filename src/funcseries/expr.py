@@ -53,6 +53,11 @@ CALL = "call"
 #: |denominator| below this raises SingularEvaluation
 DIVISION_FLOOR = 1e-300
 
+#: simplify folds an exact constant power (p/q)^n only while
+#: |n| * max(bit_length(p), bit_length(q)) is at most this; larger
+#: powers stay POWER nodes instead of building huge integers
+MAX_FOLD_BITS = 4096
+
 
 @dataclass(frozen=True)
 class Expr:
@@ -679,10 +684,10 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
         ev = exponent.value if exponent.kind == CONST else None
         if ev is not None and not isinstance(ev, complex) and ev > 0:
             return const(0)
-    if base.kind == CONST and n is not None:
+    if base.kind == CONST and n is not None and _fold_fits(base.value, n):
         try:
             return const(base.value ** n)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             pass
     if n is not None:
         # integer powers distribute exactly over signs, products, quotients
@@ -701,6 +706,12 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
             if m is not None:
                 return _simplify_power(base.args[0], const(m * n))
     return Expr(POWER, (base, exponent))
+
+
+def _fold_fits(v: Number, n: int) -> bool:
+    """Whether v**n may fold: a float always, a Fraction within MAX_FOLD_BITS."""
+    return not isinstance(v, Fraction) or abs(n) * max(
+        v.numerator.bit_length(), v.denominator.bit_length()) <= MAX_FOLD_BITS
 
 
 _EXACT_CALLS = {
@@ -756,8 +767,10 @@ def evaluate(e: Expr, at: complex) -> complex:
 
 def _eval(e: Expr, z: complex) -> complex:
     if e.kind == CONST:
-        v = e.value
-        return complex(float(v)) if isinstance(v, Fraction) else complex(v)
+        try:
+            return complex(e.value)
+        except OverflowError as exc:
+            raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
     if e.kind == VAR:
         return z
     if e.kind == ADD:

@@ -292,9 +292,11 @@ def _apply_elementary(name: str, inner: TruncatedSeries) -> TruncatedSeries:
 
 def _jet(e: Expr, z0: complex, order: int) -> TruncatedSeries:
     if e.kind == CONST:
-        v = e.value
-        return TruncatedSeries.constant(complex(float(v)) if hasattr(v, "denominator")
-                                        else complex(v), order)
+        try:
+            return TruncatedSeries.constant(complex(e.value), order)
+        except OverflowError as exc:
+            raise SingularAtExpansionPoint(
+                f"constant out of floating-point range: {exc}") from exc
     if e.kind == VAR:
         return TruncatedSeries.identity(z0, order)
     if e.kind == ADD:

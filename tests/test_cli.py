@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,24 @@ class TestInputErrors:
     def test_non_finite_tolerance_or_radius_exits_1(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--f", "z*1" + "0" * 400, "--s", "z", "--order", "1"),
+        ("check", "--f", "z*1" + "0" * 400, "--s", "z", "--order", "1"),
+        ("teixeira", "--f", "z*1" + "0" * 400, "--s", "z", "--order", "1"),
+    ])
+    def test_literal_beyond_double_range_exits_4(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("singularity: ") and err.count("\n") == 1
+        assert "floating-point range" in err
+
+    @pytest.mark.parametrize("f", ["(1/3)^(10^8)*z", "(1/3)^(10^6)*z"])
+    def test_huge_exact_power_expands_promptly(self, capsys, f):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "expand", "--f", f, "--s", "z", "--order", "1")
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - start < 5.0
 
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,9 @@
 """Expression tree: parsing, printing, differentiation, simplification, evaluation."""
 
+import hashlib
 import math
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -149,6 +152,10 @@ class TestEvaluate:
         with pytest.raises(SingularEvaluation):
             evaluate(parse("z^(-1)"), 0)
 
+    def test_constant_beyond_double_range_is_singular(self):
+        with pytest.raises(SingularEvaluation, match="floating-point range"):
+            evaluate(parse("z*1" + "0" * 400), 0.5)
+
 
 class TestDifferentiate:
     def test_square(self):
@@ -199,6 +206,14 @@ class TestSimplify:
 
     def test_repeated_factors_collect(self):
         assert simplify(Z * Z) == simplify(parse("z^2"))
+
+    def test_small_exact_power_folds(self):
+        assert simplify(parse("(1/3)^5")) == const(Fraction(1, 243))
+
+    @pytest.mark.parametrize("text", ["(1/3)^(10^6)", "(1/3)^(10^8)", "1.5^100000"])
+    def test_oversized_constant_power_stays_a_power(self, text):
+        s = simplify(parse(text))
+        assert s.kind == POWER and s.args[0].kind == CONST
 
     def test_idempotent_on_corpus(self):
         for text in CORPUS:
@@ -290,6 +305,19 @@ class TestRandomizedTrees:
         if kind == 4:
             return Expr(POWER, (child(), const(int(rng.integers(-3, 4)))))
         return Expr(CALL, (child(),), name=cls.FUNCS[rng.integers(len(cls.FUNCS))])
+
+    #: sha256 of repr(simplify(e)) and repr(simplify(differentiate(e))),
+    #: one line each, for 1000 trees drawn with seed 20261018
+    SIMPLIFIED_DIGEST = "c397cd288ff25cd53e66399da8391221245e82971bd1139c49fca84562f2ba54"
+
+    def test_simplified_trees_match_recorded_digest(self):
+        rng = np.random.default_rng(20261018)
+        digest = hashlib.sha256()
+        for _ in range(1000):
+            e = self.random_tree(rng, int(rng.integers(2, 6)))
+            digest.update(repr(simplify(e)).encode() + b"\n")
+            digest.update(repr(simplify(differentiate(e))).encode() + b"\n")
+        assert digest.hexdigest() == self.SIMPLIFIED_DIGEST
 
     def test_simplify_format_evaluate_hold_up(self):
         rng = np.random.default_rng(98765)

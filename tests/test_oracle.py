@@ -42,6 +42,10 @@ class TestFromExpr:
         with pytest.raises(SingularAtExpansionPoint):
             TruncatedSeries.from_expr(parse("log(z)"), 0.0, 3)
 
+    def test_constant_beyond_double_range_raises(self):
+        with pytest.raises(SingularAtExpansionPoint, match="floating-point range"):
+            oracle_coefficients(parse("z*1" + "0" * 400), parse("z"), 0.0, 1)
+
     @pytest.mark.parametrize("text,z0", [
         ("exp(z)", 0.3), ("sin(z)", -0.2), ("cos(z)", 0.7), ("tan(z)", 0.4),
         ("sinh(z)", 0.5), ("cosh(z)", -0.4), ("sqrt(1+z)", 0.2),
