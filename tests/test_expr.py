@@ -3,8 +3,6 @@
 import hashlib
 import math
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -206,9 +204,6 @@ class TestSimplify:
 
     def test_repeated_factors_collect(self):
         assert simplify(Z * Z) == simplify(parse("z^2"))
-
-    def test_small_exact_power_folds(self):
-        assert simplify(parse("(1/3)^5")) == const(Fraction(1, 243))
 
     @pytest.mark.parametrize("text", ["(1/3)^(10^6)", "(1/3)^(10^8)", "1.5^100000"])
     def test_oversized_constant_power_stays_a_power(self, text):
