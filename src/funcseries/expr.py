@@ -329,9 +329,16 @@ def _is_quotient(t: Expr) -> bool:
 
 
 def simplify(e: Expr) -> Expr:
+    try:
+        return _simplify(e)
+    except OverflowError as exc:
+        raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
+
+
+def _simplify(e: Expr) -> Expr:
     if e.kind in (CONST, VAR):
         return e
-    args = tuple(simplify(a) for a in e.args)
+    args = tuple(_simplify(a) for a in e.args)
 
     if e.kind == ADD:
         return _simplify_add(args)

@@ -27,6 +27,22 @@ from funcseries.oracle import CATALOG
 
 RNG = np.random.default_rng(907)
 
+#: one drawn member of each benchmark family, as (f, s)
+FAMILY_PAIRS = (
+    ("1/((7/3)+z)", "sin(z)"),
+    ("1/(1-(5/2)^(1-z))", "(5/2)^(-z)"),
+    ("(7/2)^(-z)", "(3/2)^(-z)"),
+    ("1/((9/4)+z)", "exp(z)"),
+    ("exp((5/3)*z)", "exp(z)"),
+    ("exp((3/2)*z)", "sin(z)"),
+    ("cos((5/2)*z)", "sinh(z)"),
+    ("1/(z-(7/2))^2", "1/(z-(7/2))"),
+    ("exp(3*z)", "z+2*z^2"),
+)
+
+#: sha256 of repr(entry) + "\n" over entries 0..9 of every FAMILY_PAIRS pair
+FAMILY_LADDER_SHA256 = "595682b9167aa6e45ae822c371c714879a5a47967343d13a3d7217972c42f71c"
+
 #: sha256 of the text of ladder entries 0..9 of every CATALOG pair
 LADDER_TEXT_SHA256 = {
     "rational-in-sine": "cb9b6790fc66cb9c8d9cbdc6a5c4a5a378af36ba793561e777db089823fcb4fd",
@@ -104,6 +120,16 @@ class TestChain:
         chain = OperatorChain(parse(f_text), parse(s_text))
         text = "\n".join(format_expr(chain.entry(n)) for n in range(10))
         assert hashlib.sha256(text.encode()).hexdigest() == LADDER_TEXT_SHA256[label]
+
+    def test_family_ladders_match_recorded_digest(self):
+        # the trees themselves, not their text, of entries 0..9 of one
+        # member of each benchmark family
+        digest = hashlib.sha256()
+        for f_text, s_text in FAMILY_PAIRS:
+            chain = OperatorChain(parse(f_text), parse(s_text))
+            for n in range(10):
+                digest.update((repr(chain.entry(n)) + "\n").encode())
+        assert digest.hexdigest() == FAMILY_LADDER_SHA256
 
 
 class TestCompositeDerivative:

@@ -205,6 +205,15 @@ class TestSimplify:
     def test_repeated_factors_collect(self):
         assert simplify(Z * Z) == simplify(parse("z^2"))
 
+    @pytest.mark.parametrize("fold,text", [
+        (simplify, "2^1100*z + 0.5*z"),
+        (format_expr, "z*(2^1100)*0.5"),
+    ])
+    def test_exact_constant_beyond_double_range_meeting_a_float_is_singular(
+            self, fold, text):
+        with pytest.raises(SingularEvaluation, match="floating-point range"):
+            fold(parse(text))
+
     @pytest.mark.parametrize("text", ["(1/3)^(10^6)", "(1/3)^(10^8)", "1.5^100000"])
     def test_oversized_constant_power_stays_a_power(self, text):
         s = simplify(parse(text))
