@@ -7,7 +7,7 @@ remainder bounds estimate truncation error, and classical contour
 quadrature provides a further cross-check where it applies.
 """
 
-from .composite import OperatorChain, composite_derivative, d_ds, z_derivative_via_s
+from .composite import OperatorChain, composite_derivative, z_derivative_via_s
 from .errors import (
     AnnulusViolation,
     CompositeDerivativeZero,

@@ -8,6 +8,7 @@ application of
 lowers one s-derivative, so n applications starting from f give the
 n'th derivative of f with respect to s without ever inverting s or
 expanding the classical combinatoric formulas.  :class:`OperatorChain`
+owns s'(z), simplified once as ``sprime`` for every consumer, and
 caches the ladder of intermediate expressions, each simplified once on
 creation to keep growth in check.
 
@@ -40,24 +41,21 @@ from .expr import (
 )
 
 
-def d_ds(e: Expr, s: Expr, letter: str | None = None) -> Expr:
-    """One application of (1/s'(z)) d/dz to e, simplified."""
-    return OperatorChain(e, s, letter).entry(1)
-
-
 class OperatorChain:
     """Ladder f, D f, D^2 f, ... for D = (1/s'(z)) d/dz.
 
-    Entry i+1 is simplify(divide(differentiate(entry i), differentiate(s)));
-    entry 0 is f itself.  The cache is append-only.
+    Entry i+1 is simplify(divide(differentiate(entry i), sprime)) for
+    sprime = simplify(differentiate(s)), which must not be 0; entry 0
+    is f itself.  The cache is append-only.
     """
 
-    def __init__(self, f: Expr, s: Expr, letter: str | None = None):
-        self.letter = letter or sole_variable(f, s)
+    def __init__(self, f: Expr, s: Expr):
+        self.letter = sole_variable(f, s)
         self.f = f
         self.s = s
-        self._sprime = differentiate(s, self.letter)
-        _require_nonconstant(self._sprime)
+        self.sprime = simplify(differentiate(s, self.letter))
+        if self.sprime == const(0):
+            raise ConstantComposite("inner function has identically zero derivative")
         self._entries: list[Expr] = [f]
 
     def entry(self, n: int) -> Expr:
@@ -66,20 +64,19 @@ class OperatorChain:
         while len(self._entries) <= n:
             prev = self._entries[-1]
             self._entries.append(
-                simplify(divide(differentiate(prev, self.letter), self._sprime)))
+                simplify(divide(differentiate(prev, self.letter), self.sprime)))
         return self._entries[n]
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def composite_derivative(f: Expr, s: Expr, n: int, letter: str | None = None) -> Expr:
+def composite_derivative(f: Expr, s: Expr, n: int) -> Expr:
     """d^n f / d s^n as an expression in the z-letter; n = 0 returns f."""
-    return OperatorChain(f, s, letter).entry(n)
+    return OperatorChain(f, s).entry(n)
 
 
-def z_derivative_via_s(k: Expr, s: Expr, n: int,
-                       s_letter: str = "s", letter: str | None = None) -> Expr:
+def z_derivative_via_s(k: Expr, s: Expr, n: int, s_letter: str = "s") -> Expr:
     """n'th z-derivative of k(s(z)) built from k given in the s-letter.
 
     k must use only ``s_letter``; s must use only the z-letter.  The
@@ -87,21 +84,14 @@ def z_derivative_via_s(k: Expr, s: Expr, n: int,
     composite, but is computed by stepping in s-space and substituting
     last, which keeps k's structure visible until the end.
     """
-    letter = letter or sole_variable(s)
-    if letter == s_letter:
-        raise ValueError("inner and outer variables must differ")
     extra = variables(k) - {s_letter}
     if extra:
         raise ValueError(f"k may only use variable {s_letter!r}, found {sorted(extra)}")
-    sprime = differentiate(s, letter)
-    _require_nonconstant(sprime)
+    chain = OperatorChain(s, s)
+    if chain.letter == s_letter:
+        raise ValueError("inner and outer variables must differ")
     g = k
     for _ in range(n):
-        g = simplify(add(multiply(sprime, differentiate(g, s_letter)),
-                         differentiate(g, letter)))
+        g = simplify(add(multiply(chain.sprime, differentiate(g, s_letter)),
+                         differentiate(g, chain.letter)))
     return simplify(substitute(g, s_letter, s))
-
-
-def _require_nonconstant(sprime: Expr):
-    if simplify(sprime) == const(0):
-        raise ConstantComposite("inner function has identically zero derivative")

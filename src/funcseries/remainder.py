@@ -8,9 +8,10 @@ N + 1 terms:
   |s(z) - s0|^(N+1)/(N+1)! times the largest magnitude of ladder entry
   N + 1 over sampled preimages of the s-segment.  The inner function
   must be monotone between z0 and z (checked by sampling the sign of
-  s'); the intermediate point is unknown, so the bound maximizes over
-  a sampled grid, which in principle can under-estimate.  The sample
-  count is recorded on the result.
+  the simplified s' the expansion's chain holds); the intermediate
+  point is unknown, so the bound maximizes over a sampled grid, which
+  in principle can under-estimate.  The sample count is recorded on
+  the result.
 * :func:`complex_bound` -- bound for complex arguments treating the
   unknown mean-value rotation adversarially inside its unit disk, which
   makes it |s(z) - s0|^(N+1)/(N+1)! times |ladder entry N+1 at z0|.
@@ -19,8 +20,8 @@ Both bounds raise ValueError unless 0 <= N <= the expansion's order and
 N + 1 <= series.MAX_ORDER, beyond which (N+1)! no longer fits a float.
 
 All functions are pure over their inputs; note that they extend the
-expansion's cached ladder, so do not share one SeriesExpansion between
-threads while bounding.
+ladder cached on the expansion's ``chain``, so do not share one
+SeriesExpansion between threads while bounding.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotoneComposite
-from .expr import differentiate, evaluate
+from .expr import evaluate
 from .series import MAX_ORDER, SeriesExpansion, partial_sum
 
 #: grid size used for monotonicity checking and the intermediate-point scan
@@ -95,19 +96,14 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
         raise ValueError("need at least 2 samples")
 
     grid = np.linspace(exp.z0.real, z.real, samples)
-    chain = exp.chain()
     # monotonicity of s: sample s' and require one strict sign
-    ds = differentiate(exp.s, chain.letter)
-    signs = set()
-    for x in grid:
-        v = evaluate(ds, complex(x))
-        signs.add(1 if v.real > 0 else (-1 if v.real < 0 else 0))
-    if len(signs) != 1 or 0 in signs:
+    slopes = [evaluate(exp.chain.sprime, complex(x)).real for x in grid]
+    if not (all(v > 0 for v in slopes) or all(v < 0 for v in slopes)):
         raise NonMonotoneComposite(
             f"s' changes sign on [{exp.z0.real}, {z.real}] "
             f"({samples} samples)")
 
-    entry = chain.entry(upto + 1)
+    entry = exp.chain.entry(upto + 1)
     largest = max(abs(evaluate(entry, complex(x))) for x in grid)
     span = abs(evaluate(exp.s, z) - exp.s0)
     bound = _mean_value_bound(span, upto, largest)
@@ -122,7 +118,7 @@ def complex_bound(exp: SeriesExpansion, z: complex, upto: int) -> RemainderEstim
     """
     _check_upto(exp, upto)
     z = complex(z)
-    entry_value = abs(evaluate(exp.chain().entry(upto + 1), exp.z0))
+    entry_value = abs(evaluate(exp.chain.entry(upto + 1), exp.z0))
     span = abs(evaluate(exp.s, z) - exp.s0)
     bound = _mean_value_bound(span, upto, entry_value)
     return RemainderEstimate(upto, bound, "complex-theta", z)

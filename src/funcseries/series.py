@@ -8,7 +8,7 @@ finite, :func:`expand` produces coefficients c_n such that
 where c_n is the n'th composite derivative of f with respect to s,
 evaluated at z0 and divided by n!.  With s = z this reduces to the
 ordinary Taylor series.  Coefficients are stored numerically; the
-symbolic ladder stays available on the result for remainder bounds.
+operator chain that built them stays on the result for remainder bounds.
 
 Some pairs terminate: beyond some index every coefficient vanishes and
 the truncated sum is an identity for f.  :func:`detect_termination`
@@ -23,8 +23,8 @@ coefficients come from the jets of :mod:`funcseries.oracle`, not from a
 second symbolic differentiation ladder.
 
 Each expansion builds a private operator chain, so distinct requests
-may run concurrently; a returned SeriesExpansion is treated as
-immutable.
+may run concurrently.  A returned SeriesExpansion is frozen, but its
+chain still appends ladder entries when the bounds ask for them.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ from .errors import (
 )
 from .expr import (
     Expr,
-    differentiate,
     evaluate,
     format_expr,
-    sole_variable,
     substitute,
 )
 from .oracle import TruncatedSeries
@@ -85,15 +83,15 @@ class ExpansionRequest:
         object.__setattr__(self, "z0", complex(self.z0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesExpansion:
-    """Result of an expansion; treat as immutable once returned.
+    """Result of an expansion.
 
     ``coefficients[n]`` multiplies (s(z) - s0)^n.  ``terminated_at`` is
     the last index with a non-negligible coefficient when the stored
-    tail vanished, else None.  The private chain is reused by the
-    remainder bounds; it appends lazily and must not be shared between
-    threads.
+    tail vanished, else None.  ``chain`` is the operator chain of f and
+    s, reused by the remainder bounds; it appends ladder entries on
+    demand and must not be shared between threads.
     """
 
     f: Expr
@@ -101,17 +99,12 @@ class SeriesExpansion:
     z0: complex
     s0: complex
     coefficients: tuple[complex, ...]
-    terminated_at: int | None = None
-    _chain: OperatorChain | None = field(default=None, repr=False, compare=False)
+    terminated_at: int | None
+    chain: OperatorChain = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-    def chain(self) -> OperatorChain:
-        if self._chain is None:
-            self._chain = OperatorChain(self.f, self.s)
-        return self._chain
 
     def as_dict(self) -> dict:
         return {
@@ -127,14 +120,15 @@ class SeriesExpansion:
 def expand(req: ExpansionRequest) -> SeriesExpansion:
     """Compute the expansion of req.f in powers of (req.s - s(z0)).
 
-    Raises CompositeDerivativeZero when |s'(z0)| is at or below the
-    derivative-zero tolerance, and SingularAtExpansionPoint when f, s,
-    or any ladder entry cannot be evaluated at z0.
+    Raises ConstantComposite when s' is identically zero (from the
+    chain), CompositeDerivativeZero when |s'(z0)| is at or below the
+    tolerance, and SingularAtExpansionPoint when f, s, or any ladder
+    entry cannot be evaluated at z0.
     """
-    letter = sole_variable(req.f, req.s)
+    chain = OperatorChain(req.f, req.s)
     try:
         s0 = evaluate(req.s, req.z0)
-        sp0 = evaluate(differentiate(req.s, letter), req.z0)
+        sp0 = evaluate(chain.sprime, req.z0)
     except SingularEvaluation as exc:
         raise SingularAtExpansionPoint(f"inner function at z0={req.z0}: {exc}") from exc
     if abs(sp0) <= req.derivative_zero_tol:
@@ -142,7 +136,6 @@ def expand(req: ExpansionRequest) -> SeriesExpansion:
             f"|s'(z0)| = {abs(sp0):.3g} at z0={req.z0} "
             f"(tolerance {req.derivative_zero_tol:g})")
 
-    chain = OperatorChain(req.f, req.s, letter)
     coefficients = []
     for n in range(req.order + 1):
         entry = chain.entry(n)
@@ -222,10 +215,11 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
     within the round-trip tolerance; otherwise InverseMismatch is
     raised.  The coefficients are those of the jet of f(g(.)) at s(z0),
     so SingularAtExpansionPoint is raised where that jet cannot be
-    formed.  The result matches expand() field for field.
+    formed, and ConstantComposite as in expand(), whose result it
+    matches field for field.
     """
     z0 = complex(z0)
-    z_letter = sole_variable(f, s)
+    chain = OperatorChain(f, s)
     try:
         s0 = evaluate(s, z0)
         back = evaluate(g, s0)
@@ -235,8 +229,8 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
         raise InverseMismatch(
             f"g(s(z0)) = {back} does not return to z0 = {z0}")
 
-    h = substitute(f, z_letter, g)
+    h = substitute(f, chain.letter, g)
     jet = TruncatedSeries.from_expr(h, s0, order)
     coefficients = tuple(complex(c) for c in jet.coefficients)
     terminated = detect_termination(coefficients, termination_tol)
-    return SeriesExpansion(f, s, z0, s0, coefficients, terminated)
+    return SeriesExpansion(f, s, z0, s0, coefficients, terminated, chain)

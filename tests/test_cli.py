@@ -239,6 +239,7 @@ class TestInputErrors:
         ("expand", "--f", "z*1" + "0" * 400, "--s", "z", "--order", "1"),
         ("check", "--f", "z*1" + "0" * 400, "--s", "z", "--order", "1"),
         ("teixeira", "--f", "z*1" + "0" * 400, "--s", "z", "--order", "1"),
+        ("expand", "--f", "z", "--s", "2^1100*z + 0.5*z"),
     ])
     def test_literal_beyond_double_range_exits_4(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -133,7 +133,7 @@ class TestComplexBound:
         s0 = evaluate(exp.s, 0.3)
         back = evaluate(g, s0)
         assert abs(back - 0.3) < 1e-8
-        entry = exp.chain().entry(4)
+        entry = exp.chain.entry(4)
         assert evaluate(entry, back) == pytest.approx(evaluate(entry, 0.3), rel=1e-9)
 
     def test_upto_outside_expansion_rejected(self):

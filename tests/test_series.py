@@ -1,5 +1,6 @@
 """Expansion engine: coefficients, termination, partial sums, inverse route."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from funcseries.errors import (
     CompositeDerivativeZero,
+    ConstantComposite,
     InverseMismatch,
     SingularAtExpansionPoint,
     UnknownFunction,
@@ -56,6 +58,17 @@ class TestExpand:
     def test_vanishing_inner_derivative_rejected(self):
         with pytest.raises(CompositeDerivativeZero):
             expand_pair("exp(z)", "z^2", 0.0, 3)
+
+    def test_constant_inner_rejected_by_the_chain(self):
+        with pytest.raises(ConstantComposite):
+            expand_pair("exp(z)", "2+0*z", 0.0, 3)
+
+    def test_result_is_frozen(self):
+        exp = expand_pair("exp(z)", "z", 0.0, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exp.coefficients = (1.0,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exp.chain = None
 
     def test_singular_function_at_point_rejected(self):
         with pytest.raises(SingularAtExpansionPoint):
@@ -278,6 +291,12 @@ class TestInverseCompositeRoute:
         for n in range(7):
             dev = abs(direct.coefficients[n] - via_inverse.coefficients[n])
             assert dev <= 1e-8 * max(1.0, abs(direct.coefficients[n]))
+
+    def test_constant_inner_rejected(self):
+        # the same s that expand() rejects
+        with pytest.raises(ConstantComposite):
+            inverse_composite_expand(
+                parse("exp(z)"), parse("2+0*z"), parse("0*s"), 0.0, 3)
 
     def test_unavailable_inverse_has_no_syntax(self):
         # the sine inverse is outside the function set: it cannot be written
