@@ -98,11 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="key=value file of flag defaults")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_s=True):
+    def common(p):
         p.add_argument("--f", required=True, help="function to expand")
-        if with_s:
-            p.add_argument("--s", required=True,
-                           help="inner function (theta for teixeira)")
+        p.add_argument("--s", required=True, help="inner function (theta for teixeira)")
         p.add_argument("--z0", type=_parse_complex, default=0j,
                        help="expansion point, real or re,im")
         p.add_argument("--order", type=int, default=6)
@@ -227,6 +225,8 @@ def cmd_plot(args) -> int:
 def cmd_check(args) -> int:
     if args.f is not None and args.s is None:
         raise ParseError("--s is required when --f is given", 0)
+    if args.s is not None and args.f is None:
+        raise ParseError("--f is required when --s is given", 0)
     if args.f is not None:
         pairs = [("user", args.f, args.s, args.z0)]
     else:

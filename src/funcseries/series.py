@@ -163,20 +163,19 @@ def partial_sum(exp: SeriesExpansion, z: complex, upto: int | None = None) -> co
     return total
 
 
-def detect_termination(coefficients, tol: float = TERMINATION_TOL,
-                       run: int = TERMINATION_RUN) -> int | None:
+def detect_termination(coefficients, tol: float = TERMINATION_TOL) -> int | None:
     """Smallest index m with every later stored coefficient negligible.
 
-    Negligible means |c_n| < tol * max(1, |c0|); at least ``run``
-    consecutive negligible tail coefficients are required, so fewer
-    than run + 1 stored coefficients can never report termination.
+    Negligible means |c_n| < tol * max(1, |c0|); at least TERMINATION_RUN
+    consecutive negligible tail coefficients are required, so fewer than
+    TERMINATION_RUN + 1 stored coefficients never report termination.
     """
     n = len(coefficients)
-    if n < run + 1:
+    if n < TERMINATION_RUN + 1:
         return None
     ceiling = tol * max(1.0, abs(coefficients[0]))
     small = [abs(c) < ceiling for c in coefficients]
-    for m in range(0, n - run):
+    for m in range(0, n - TERMINATION_RUN):
         if all(small[m + 1:]):
             return m
     return None

@@ -22,7 +22,8 @@ the inner circle.
 Each integrand is evaluated once per contour node: f, theta' and theta
 on c1 for A_0, f' on c1 (with theta) for every A_n, and f' and theta on
 c2 for every B_n; the number of evaluations does not grow with the
-order.
+order.  The validity ring is read from the same sweep: the smallest
+|theta| over the c1 nodes and the largest over the c2 nodes.
 
 This module is the classical cross-check for the expansion engine:
 with theta(z) = z - z0 the A_n must match the engine's coefficients
@@ -41,9 +42,6 @@ import numpy as np
 
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
 from .expr import Expr, differentiate, evaluate, sole_variable
-
-#: boundary points sampled when recording the validity ring
-VALIDITY_SAMPLES = 64
 
 #: |B_n| below this counts as an absent negative-power term
 NEGLIGIBLE_COEFFICIENT = 1e-9
@@ -66,10 +64,9 @@ class ContourSpec:
         if self.points & (self.points - 1):
             raise ValueError("point count must be a power of two")
 
-    def nodes(self, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and the unit phases they sit at."""
-        m = self.points if count is None else count
-        phase = np.exp(2j * np.pi * np.arange(m) / m)
+        phase = np.exp(2j * np.pi * np.arange(self.points) / self.points)
         return self.center + self.radius * phase, phase
 
     def as_dict(self) -> dict:
@@ -82,7 +79,7 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class TeixeiraExpansion:
-    """Two-sided expansion data plus the sampled validity ring."""
+    """Two-sided expansion data plus the validity ring read at the nodes."""
 
     zero_point: complex
     theta: Expr
@@ -132,36 +129,33 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
     fv = _values_on(f, zs)
     tp = _values_on(differentiate(theta, letter), zs)
     th = _values_on(theta, zs)
-    if np.any(np.abs(th) < 1e-300):
+    outer_min = float(np.abs(th).min())
+    if outer_min < 1e-300:
         raise QuadratureSingularity("theta vanishes on the outer contour")
     a = [outer.radius / outer.points * _contour_sum(fv * tp * phase / th, "outer")]
-    b = []
     if order:  # A_0 alone needs no f'
         fprime = differentiate(f, letter)
         weighted = _values_on(fprime, zs) * phase
         for n in range(1, order + 1):
             a.append(outer.radius / (n * outer.points)
                      * _contour_sum(weighted / th**n, "outer"))
-        if inner is not None:
-            zs, phase = inner.nodes()
+    b = []
+    inner_max = 0.0
+    if inner is not None:
+        zs, phase = inner.nodes()
+        th = _values_on(theta, zs)
+        inner_max = float(np.abs(th).max())
+        if order:
             weighted = _values_on(fprime, zs) * phase
-            th = _values_on(theta, zs)
             for n in range(1, order + 1):
                 b.append(-inner.radius / (n * inner.points)
                          * _contour_sum(weighted * th**n, "inner"))
-
-    outer_min = min(abs(evaluate(theta, complex(z)))
-                    for z in outer.nodes(VALIDITY_SAMPLES)[0])
-    inner_max = 0.0
-    if inner is not None:
-        inner_max = max(abs(evaluate(theta, complex(z)))
-                        for z in inner.nodes(VALIDITY_SAMPLES)[0])
     return TeixeiraExpansion(complex(zero_point), theta, tuple(a), tuple(b),
                              outer, inner, outer_min, inner_max)
 
 
 def teixeira_partial_sum(tx: TeixeiraExpansion, x: complex, upto: int) -> complex:
-    """Two-sided sum at x, after checking the sampled validity ring.
+    """Two-sided sum at x, after checking the validity ring.
 
     Sums A_0..A_upto and B_1..B_upto; upto must lie in [0, order].
     Negative-power terms below the negligible-coefficient threshold are

@@ -254,6 +254,11 @@ class TestInputErrors:
         assert (code, err) == (0, "")
         assert time.perf_counter() - start < 5.0
 
+    def test_check_s_without_f_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--s", "sin(z)", "--order", "2")
+        assert (code, out) == (2, "")
+        assert err == "parse error: --f is required when --s is given (at position 0)\n"
+
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--config"])

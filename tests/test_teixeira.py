@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from funcseries.errors import AnnulusViolation, QuadratureSingularity
-from funcseries.expr import const, parse
+from funcseries.expr import const, evaluate, parse
 from funcseries.series import ExpansionRequest, expand
 import funcseries.teixeira as teixeira
 from funcseries.teixeira import (
-    VALIDITY_SAMPLES,
     ContourSpec,
     teixeira_expand,
     teixeira_partial_sum,
@@ -120,8 +119,8 @@ class TestQuadratureQuality:
 
     @pytest.mark.parametrize("order", [3, 12])
     def test_node_values_computed_once_per_contour(self, monkeypatch, order):
-        # f, theta', theta and f' on the outer nodes, f' and theta on the
-        # inner ones, and theta on both validity rings, whatever the order
+        # f, theta', theta and f' on the outer nodes and f' and theta on the
+        # inner ones, whatever the order; the validity ring reuses theta
         calls = []
         real_evaluate = teixeira.evaluate
 
@@ -131,7 +130,20 @@ class TestQuadratureQuality:
 
         monkeypatch.setattr(teixeira, "evaluate", counting)
         teixeira_expand(parse("exp(z)/(2-sin(z))"), parse("z"), 0.0, UNIT, HALF, order)
-        assert len(calls) == 6 * UNIT.points + 2 * VALIDITY_SAMPLES == 3200
+        assert len(calls) == 6 * UNIT.points == 3072
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_validity_ring_read_at_quadrature_nodes(self, order):
+        # off-center circles put the extremes of |theta| between every
+        # eighth node, where a coarser sampling would miss them
+        outer, inner = ContourSpec(0.1 + 0.05j, 1.0), ContourSpec(0.1 + 0.05j, 0.5)
+        theta = parse("z")
+        tx = teixeira_expand(parse("exp(z)"), theta, 0.0, outer, inner, order)
+        outer_min = min(abs(evaluate(theta, complex(z))) for z in outer.nodes()[0])
+        inner_max = max(abs(evaluate(theta, complex(z))) for z in inner.nodes()[0])
+        assert (tx.outer_theta_min, tx.inner_theta_max) == (outer_min, inner_max)
+        alone = teixeira_expand(parse("exp(z)"), theta, 0.0, outer, None, order)
+        assert alone.inner_theta_max == 0.0
 
 
 class TestPartialSum:
