@@ -10,9 +10,11 @@ Subcommands:
 
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 invalid values
 (a negative or too large order, a tolerance or radius that is not
-positive and finite, too few samples or quadrature points) and other
-errors, 2 parse and usage errors, 3 vanishing inner derivative at the
-expansion point, 4 singularities, 5 oracle disagreement.  Output is
+positive and finite, too few or too many samples or quadrature points,
+an inner contour not inside the outer one) and other errors, 2 parse
+and usage errors (a plot grid of fewer than 2 or more than 65536
+points included), 3 vanishing inner derivative at the expansion point,
+4 singularities, 5 oracle disagreement.  Output is
 deterministic for a fixed configuration: floats print as their shortest
 round-trip decimal and JSON key order is fixed.
 
@@ -38,7 +40,7 @@ from .errors import (
     SingularAtExpansionPoint,
     SingularEvaluation,
 )
-from .expr import Expr, evaluate, parse
+from .expr import Expr, evaluator, parse
 from .oracle import CATALOG, oracle_coefficients
 from .remainder import complex_bound, lagrange_bound, measured_error
 from .series import (
@@ -52,6 +54,9 @@ from .teixeira import ContourSpec, teixeira_expand, teixeira_partial_sum
 
 #: engine/oracle agreement threshold for the check subcommand
 CHECK_TOL = 1e-8
+
+#: most points a plot grid may have
+MAX_GRID_COUNT = 2**16
 
 
 def _parse_complex(text: str) -> complex:
@@ -68,6 +73,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2:
         raise argparse.ArgumentTypeError("grid count must be >= 2")
+    if count > MAX_GRID_COUNT:
+        raise argparse.ArgumentTypeError(f"grid count must be <= {MAX_GRID_COUNT}")
     return start, stop, count
 
 
@@ -195,6 +202,7 @@ def cmd_plot(args) -> int:
     exp = _expansion_from(args)
     start, stop, count = args.grid
     step = (stop - start) / (count - 1)
+    f_at, s_at = evaluator(exp.f), evaluator(exp.s)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["z", "f"] + [f"S{k}" for k in range(exp.order + 1)])
@@ -202,11 +210,11 @@ def cmd_plot(args) -> int:
         z = start + i * step
         row = [_fmt_float(z)]
         try:
-            row.append(_fmt_float(evaluate(exp.f, z).real))
+            row.append(_fmt_float(f_at(z).real))
         except SingularEvaluation:
             row.append("")
         try:
-            u = evaluate(exp.s, z) - exp.s0
+            u = s_at(z) - exp.s0
             total = exp.coefficients[0]
             sums = [total]
             u_power = 1.0 + 0j

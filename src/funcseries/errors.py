@@ -62,4 +62,5 @@ class QuadratureSingularity(FuncSeriesError):
 
 
 class AnnulusViolation(FuncSeriesError):
-    """The evaluation point lies outside the expansion's validity annulus."""
+    """The evaluation point lies outside the expansion's validity annulus,
+    or the contours leave that annulus empty."""

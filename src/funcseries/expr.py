@@ -12,7 +12,10 @@ provides the five operations everything else is built on:
 * :func:`simplify` -- best-effort constant folding and identity
   elimination (idempotent, value-preserving);
 * :func:`evaluate` -- complex-number evaluation on the principal branch
-  of log / sqrt / non-integer powers;
+  of log / sqrt / non-integer powers, and :func:`evaluator`, which
+  compiles a tree once into a function giving the same values bit for
+  bit: use it when one tree is read at many points (quadrature nodes,
+  sample grids) and :func:`evaluate` for a single point;
 * :func:`format_expr` -- minimal-parenthesis text such that
   ``parse(format_expr(e))`` is structurally equal to ``simplify(e)``.
 
@@ -763,10 +766,29 @@ def evaluate(e: Expr, at: complex) -> complex:
     intermediate, raises SingularEvaluation.  Non-finite inputs are
     rejected outright.
     """
+    return _at_point(lambda z: _eval(e, z), at)
+
+
+def evaluator(e: Expr) -> Callable[[complex], complex]:
+    """Compile the tree once into a function of the point.
+
+    ``evaluator(e)(at)`` gives what ``evaluate(e, at)`` gives, bit for
+    bit, or raises the same exception with the same message.  The tree
+    is walked here, once: constants are converted and integer
+    exponents read at compile time, and each node becomes a closure
+    doing ``_eval``'s operations in ``_eval``'s order.  Compiling costs
+    about two walks, so use this when one tree is read at many points
+    and :func:`evaluate` for one point.
+    """
+    run = _compile(e)
+    return lambda at: _at_point(run, at)
+
+
+def _at_point(run: Callable[[complex], complex], at: complex) -> complex:
     z = complex(at)
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {at!r}")
-    out = _eval(e, z)
+    out = run(z)
     if not cmath.isfinite(out):
         raise SingularEvaluation(f"non-finite value at z={z}")
     return out
@@ -815,6 +837,76 @@ def _eval(e: Expr, z: complex) -> complex:
             raise SingularEvaluation(f"{e.name} non-finite at z={z}")
         return out
     raise AssertionError(f"unreachable node kind {e.kind}")
+
+
+def _compile(e: Expr) -> Callable[[complex], complex]:
+    # one closure per node, mirroring the matching branch of _eval; a node
+    # that can only fail (a constant beyond double range) or that _eval
+    # does not know runs _eval itself, so it raises when evaluated
+    kind = e.kind
+    if kind == CONST:
+        try:
+            value = complex(e.value)
+        except OverflowError:
+            return lambda z: _eval(e, z)
+        return lambda z: value
+    if kind == VAR:
+        return lambda z: z
+    if kind == ADD:
+        terms = tuple(_compile(a) for a in e.args)
+        return lambda z: sum((t(z) for t in terms), complex(0))
+    if kind == NEGATE:
+        arg = _compile(e.args[0])
+        return lambda z: -arg(z)
+    if kind == MULTIPLY:
+        factors = tuple(_compile(a) for a in e.args)
+
+        def product(z):
+            out = complex(1)
+            for f in factors:
+                out *= f(z)
+            return out
+        return product
+    if kind == DIVIDE:
+        num, den = _compile(e.args[0]), _compile(e.args[1])
+
+        def quotient(z):
+            d = den(z)
+            if abs(d) < DIVISION_FLOOR:
+                raise SingularEvaluation(f"division by ~0 at z={z}")
+            return num(z) / d
+        return quotient
+    if kind == POWER:
+        base = _compile(e.args[0])
+        n = _int_exponent(e.args[1])
+        exponent = None if n is not None else _compile(e.args[1])
+
+        def raised(z):
+            b = base(z)
+            try:
+                if exponent is None:
+                    return b ** n
+                return _on_principal_branch(b) ** exponent(z)
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                raise SingularEvaluation(f"power undefined at z={z}: {exc}") from exc
+        return raised
+    if kind == CALL and e.name in FUNCTIONS:
+        arg, name, rule = _compile(e.args[0]), e.name, FUNCTIONS[e.name][0]
+        on_cut = name in ("log", "sqrt")
+
+        def applied(z):
+            u = arg(z)
+            if on_cut:
+                u = _on_principal_branch(u)
+            try:
+                out = rule(u)
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise SingularEvaluation(f"{name} undefined at z={z}: {exc}") from exc
+            if not cmath.isfinite(out):
+                raise SingularEvaluation(f"{name} non-finite at z={z}")
+            return out
+        return applied
+    return lambda z: _eval(e, z)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,9 @@ N + 1 terms:
   must be monotone between z0 and z (checked by sampling the sign of
   the simplified s' the expansion's chain holds); the intermediate
   point is unknown, so the bound maximizes over a sampled grid, which
-  in principle can under-estimate.  The sample count is recorded on
-  the result.
+  in principle can under-estimate.  s' and the entry are each compiled
+  once per call (``expr.evaluator``) and read at every grid point.  The
+  sample count, at most MAX_SAMPLES, is recorded on the result.
 * :func:`complex_bound` -- bound for complex arguments treating the
   unknown mean-value rotation adversarially inside its unit disk, which
   makes it |s(z) - s0|^(N+1)/(N+1)! times |ladder entry N+1 at z0|.
@@ -32,11 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotoneComposite
-from .expr import evaluate
+from .expr import evaluate, evaluator
 from .series import MAX_ORDER, SeriesExpansion, partial_sum
 
 #: grid size used for monotonicity checking and the intermediate-point scan
 DEFAULT_SAMPLES = 64
+
+#: most grid points lagrange_bound accepts; each costs two tree evaluations
+MAX_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -94,17 +98,20 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
         raise ValueError("the real-segment bound needs real z and z0")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples")
 
     grid = np.linspace(exp.z0.real, z.real, samples)
     # monotonicity of s: sample s' and require one strict sign
-    slopes = [evaluate(exp.chain.sprime, complex(x)).real for x in grid]
+    slope = evaluator(exp.chain.sprime)
+    slopes = [slope(complex(x)).real for x in grid]
     if not (all(v > 0 for v in slopes) or all(v < 0 for v in slopes)):
         raise NonMonotoneComposite(
             f"s' changes sign on [{exp.z0.real}, {z.real}] "
             f"({samples} samples)")
 
-    entry = exp.chain.entry(upto + 1)
-    largest = max(abs(evaluate(entry, complex(x))) for x in grid)
+    entry = evaluator(exp.chain.entry(upto + 1))
+    largest = max(abs(entry(complex(x))) for x in grid)
     span = abs(evaluate(exp.s, z) - exp.s0)
     bound = _mean_value_bound(span, upto, largest)
     return RemainderEstimate(upto, bound, "real-lagrange", z, samples)

@@ -19,11 +19,14 @@ The n = 0 coefficient falls outside those formulas; it is computed as
 f(a) when f is analytic at a and stays correct when f has poles inside
 the inner circle.
 
-Each integrand is evaluated once per contour node: f, theta' and theta
-on c1 for A_0, f' on c1 (with theta) for every A_n, and f' and theta on
-c2 for every B_n; the number of evaluations does not grow with the
-order.  The validity ring is read from the same sweep: the smallest
-|theta| over the c1 nodes and the largest over the c2 nodes.
+Each integrand is compiled once per contour (``expr.evaluator``) and
+evaluated once per node: f, theta' and theta on c1 for A_0, f' on c1
+(with theta) for every A_n, and f' and theta on c2 for every B_n; the
+number of evaluations does not grow with the order.  The validity ring
+is read from the same sweep: the smallest |theta| over the c1 nodes and
+the largest over the c2 nodes.  An inner contour whose largest |theta|
+is not below the outer contour's smallest leaves no ring and raises
+AnnulusViolation.
 
 This module is the classical cross-check for the expansion engine:
 with theta(z) = z - z0 the A_n must match the engine's coefficients
@@ -41,10 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
-from .expr import Expr, differentiate, evaluate, sole_variable
+from .expr import Expr, differentiate, evaluate, evaluator, sole_variable
 
 #: |B_n| below this counts as an absent negative-power term
 NEGLIGIBLE_COEFFICIENT = 1e-9
+
+#: most quadrature nodes per contour; every integrand keeps one complex
+#: array of this length, and each node costs one tree evaluation
+MAX_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,8 @@ class ContourSpec:
             raise ValueError("radius must be positive and finite")
         if self.points < 16:
             raise ValueError("need at least 16 quadrature points")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"at most {MAX_POINTS} quadrature points")
         if self.points & (self.points - 1):
             raise ValueError("point count must be a power of two")
 
@@ -102,10 +111,11 @@ class TeixeiraExpansion:
 
 
 def _values_on(e: Expr, zs: np.ndarray) -> np.ndarray:
+    value = evaluator(e)
     out = np.empty(len(zs), dtype=np.complex128)
     for i, z in enumerate(zs):
         try:
-            out[i] = evaluate(e, complex(z))
+            out[i] = value(complex(z))
         except SingularEvaluation as exc:
             raise QuadratureSingularity(f"integrand at node {z}: {exc}") from exc
     return out
@@ -145,6 +155,11 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
         zs, phase = inner.nodes()
         th = _values_on(theta, zs)
         inner_max = float(np.abs(th).max())
+        if inner_max >= outer_min:
+            raise AnnulusViolation(
+                f"empty annulus: the largest |theta| on the inner contour, "
+                f"{inner_max:.6g}, is not below the smallest on the outer, "
+                f"{outer_min:.6g}")
         if order:
             weighted = _values_on(fprime, zs) * phase
             for n in range(1, order + 1):

@@ -212,8 +212,10 @@ class TestInputErrors:
         ("expand", "--f", "exp(z)", "--s", "z", "--order", "180"),
         ("expand", "--f", "exp(z)", "--s", "z", "--tol-termination", "0"),
         ("remainder", "--f", "exp(z)", "--s", "z", "--z", "0.5", "--samples", "1"),
+        ("remainder", "--f", "exp(z)", "--s", "z", "--z", "0.5", "--samples", "65537"),
         ("remainder", "--f", "exp(z)", "--s", "z", "--order", "170", "--z", "0.5"),
         ("teixeira", "--f", "exp(z)", "--s", "z", "--quadrature-points", "10"),
+        ("teixeira", "--f", "exp(z)", "--s", "z", "--quadrature-points", "131072"),
         ("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "0:-1"),
         ("check", "--order", "-1"),
     ])
@@ -253,6 +255,27 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "expand", "--f", f, "--s", "z", "--order", "1")
         assert (code, err) == (0, "")
         assert time.perf_counter() - start < 5.0
+
+    def test_plot_grid_count_capped(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--f", "exp(z)", "--s", "z", "--grid", "0:1:65537"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse prints its usage lines, then one error line
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["funcseries plot: error: argument --grid: "
+                          "grid count must be <= 65536"]
+        assert captured.err.endswith(errors[0] + "\n")
+
+    @pytest.mark.parametrize("x", [[], ["--x", "0.3"]])
+    def test_inner_contour_outside_outer_exits_1(self, capsys, x):
+        code, out, err = run_cli(
+            capsys, "teixeira", "--f", "1/z + exp(z)", "--s", "z",
+            "--contour", "0:0.5", "--contour", "0:1", "--order", "4", *x)
+        assert (code, out) == (1, "")
+        assert err == ("error: empty annulus: the largest |theta| on the inner "
+                       "contour, 1, is not below the smallest on the outer, 0.5\n")
 
     def test_check_s_without_f_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "check", "--s", "sin(z)", "--order", "2")

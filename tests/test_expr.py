@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from funcseries.composite import OperatorChain
 from funcseries.errors import (
+    FuncSeriesError,
     MultipleVariables,
     ParseError,
     SingularEvaluation,
@@ -24,6 +26,7 @@ from funcseries.expr import (
     const,
     differentiate,
     evaluate,
+    evaluator,
     format_expr,
     parse,
     simplify,
@@ -31,6 +34,7 @@ from funcseries.expr import (
     var,
     variables,
 )
+from funcseries.oracle import CATALOG
 
 Z = var("z")
 
@@ -343,3 +347,60 @@ class TestRandomizedTrees:
                     continue
                 if abs(want) < 1e6:
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (trial, text)
+
+
+def _outcome(fn, *args):
+    """repr of the value (signed zeros included), or the exception raised."""
+    try:
+        return repr(fn(*args))
+    except (FuncSeriesError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestEvaluator:
+    """The compiled evaluator against the reference walk, bit for bit."""
+
+    #: 0, both sides of the log/sqrt cut on the negative reals, integer
+    #: points where random trees put poles, a generic point, and a point
+    #: small enough for products to fall under the division floor
+    POINTS = [0.0, -2.0, complex(-2.0, -0.0), 1.0, -1.0, 2.0,
+              0.5 + 0.25j, 1e-200j]
+
+    def assert_same(self, e, points):
+        run = evaluator(e)
+        for z in points:
+            assert _outcome(run, z) == _outcome(evaluate, e, z), (e, z)
+
+    def test_random_trees_match_evaluate(self):
+        rng = np.random.default_rng(20261019)
+        raised = 0
+        for _ in range(1000):
+            e = TestRandomizedTrees.random_tree(rng, int(rng.integers(2, 6)))
+            self.assert_same(e, self.POINTS)
+            raised += isinstance(_outcome(evaluate, e, 0.0), tuple)
+        assert raised > 50  # the failing paths are exercised too
+
+    @pytest.mark.parametrize("label,f_text,s_text,z0", CATALOG)
+    def test_catalog_ladder_entries_match_evaluate(self, label, f_text, s_text, z0):
+        chain = OperatorChain(parse(f_text), parse(s_text))
+        points = [z0, 0.3, -0.4 + 0.2j, -1.0, 2.0, -2.0]
+        for n in range(7):
+            self.assert_same(chain.entry(n), points)
+
+    @pytest.mark.parametrize("text", CORPUS + [
+        "z^(1/2)", "(z-1)^(z/2)", "z^2.0", "(-z)^(1/3)", "z^(z^0.5)", "0*z^(-2)"])
+    def test_corpus_and_real_powers_match_evaluate(self, text):
+        # random trees only raise to integer powers; these put the base of
+        # a real power on the branch cut, with either sign of zero
+        e = parse(text)
+        self.assert_same(e, self.POINTS)
+        self.assert_same(differentiate(e), self.POINTS)
+
+    def test_point_and_constant_checks_match_evaluate(self):
+        # a constant beyond double range raises when evaluated, not when
+        # compiled; a non-finite point is rejected before any node runs
+        huge = parse("z*1" + "0" * 400)
+        run = evaluator(huge)
+        assert _outcome(run, 0.5)[0] is SingularEvaluation
+        self.assert_same(huge, [0.5])
+        self.assert_same(parse("1/(1+z)"), [complex(math.nan, 0), math.inf])

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import funcseries.remainder as remainder
 from funcseries.errors import NonMonotoneComposite
 from funcseries.expr import evaluate, parse
-from funcseries.remainder import complex_bound, lagrange_bound, measured_error
+from funcseries.remainder import (
+    MAX_SAMPLES,
+    complex_bound,
+    lagrange_bound,
+    measured_error,
+)
 from funcseries.series import MAX_ORDER, ExpansionRequest, expand
 
 #: real-z sweep points per catalog pair with a monotone inner segment
@@ -96,6 +102,32 @@ class TestLagrangeBound:
     def test_records_sample_count(self):
         exp = expand_pair("exp(z)", "z", 0.0, 2)
         assert lagrange_bound(exp, 0.5, 2, samples=48).samples == 48
+
+    def test_sample_count_capped(self):
+        exp = expand_pair("exp(z)", "z", 0.0, 2)
+        with pytest.raises(ValueError, match="at most 65536 samples"):
+            lagrange_bound(exp, 0.5, 2, samples=MAX_SAMPLES + 1)
+
+    def test_compiles_sprime_and_entry_once(self, monkeypatch):
+        # s' and ladder entry upto + 1 are each compiled once and read at
+        # every grid point
+        exp = expand_pair("1/(1+z)", "sin(z)", 0.0, 3)
+        compiled, calls = [], []
+        real_evaluator = remainder.evaluator
+
+        def counting(e):
+            compiled.append(e)
+            value = real_evaluator(e)
+
+            def counted(z):
+                calls.append(z)
+                return value(z)
+            return counted
+
+        monkeypatch.setattr(remainder, "evaluator", counting)
+        lagrange_bound(exp, 0.4, 2, samples=48)
+        assert compiled == [exp.chain.sprime, exp.chain.entry(3)]
+        assert len(calls) == 2 * 48
 
     @pytest.mark.parametrize("f_text,s_text,z0,zs", REAL_CASES)
     def test_soundness_sweep(self, f_text, s_text, z0, zs):

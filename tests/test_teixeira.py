@@ -1,15 +1,17 @@
 """Contour-quadrature coefficients and the two-sided partial sum."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from funcseries.errors import AnnulusViolation, QuadratureSingularity
-from funcseries.expr import const, evaluate, parse
+from funcseries.expr import const, differentiate, evaluate, parse
 from funcseries.series import ExpansionRequest, expand
 import funcseries.teixeira as teixeira
 from funcseries.teixeira import (
+    MAX_POINTS,
     ContourSpec,
     teixeira_expand,
     teixeira_partial_sum,
@@ -38,6 +40,9 @@ class TestContourSpec:
             ContourSpec(0.0, 1.0, points=8)
         with pytest.raises(ValueError):
             ContourSpec(0.0, 1.0, points=100)
+        assert ContourSpec(0.0, 1.0, points=MAX_POINTS).points == 2**16
+        with pytest.raises(ValueError, match="at most 65536 quadrature points"):
+            ContourSpec(0.0, 1.0, points=2 * MAX_POINTS)
 
     def test_nodes_lie_on_circle(self):
         zs, phase = ContourSpec(1.0 + 1.0j, 2.0, 64).nodes()
@@ -82,6 +87,14 @@ class TestNegativeCoefficients:
     def test_constant_function_gives_zero(self):
         assert abs(b_coefficients(const(2), parse("z"), HALF, 1)[0]) < 1e-14
 
+    @pytest.mark.parametrize("inner_radius", [1.0, 2.0])
+    def test_inner_contour_not_inside_outer_rejected(self, inner_radius):
+        # the largest |theta| inside is not below the smallest outside, so
+        # the ring the B_n describe is empty
+        with pytest.raises(AnnulusViolation, match="empty annulus"):
+            teixeira_expand(parse("1/z + exp(z)"), parse("z"), 0.0,
+                            UNIT, ContourSpec(0.0, inner_radius), 4)
+
 
 class TestQuadratureQuality:
     def test_doubling_nodes_changes_nothing_measurable(self):
@@ -119,17 +132,27 @@ class TestQuadratureQuality:
 
     @pytest.mark.parametrize("order", [3, 12])
     def test_node_values_computed_once_per_contour(self, monkeypatch, order):
-        # f, theta', theta and f' on the outer nodes and f' and theta on the
-        # inner ones, whatever the order; the validity ring reuses theta
-        calls = []
-        real_evaluate = teixeira.evaluate
+        # f, theta', theta and f' compiled for the outer nodes and f' and
+        # theta for the inner ones, whatever the order; the validity ring
+        # reuses theta
+        compiled, calls = [], []
+        real_evaluator = teixeira.evaluator
 
-        def counting(e, z):
-            calls.append(z)
-            return real_evaluate(e, z)
+        def counting(e):
+            compiled.append(e)
+            value = real_evaluator(e)
 
-        monkeypatch.setattr(teixeira, "evaluate", counting)
-        teixeira_expand(parse("exp(z)/(2-sin(z))"), parse("z"), 0.0, UNIT, HALF, order)
+            def counted(z):
+                calls.append(z)
+                return value(z)
+            return counted
+
+        monkeypatch.setattr(teixeira, "evaluator", counting)
+        f, theta = parse("exp(z)/(2-sin(z))"), parse("z")
+        teixeira_expand(f, theta, 0.0, UNIT, HALF, order)
+        fprime, tprime = differentiate(f, "z"), differentiate(theta, "z")
+        assert Counter(compiled) == Counter([f, tprime, theta, fprime, theta, fprime])
+        assert len(compiled) == 6
         assert len(calls) == 6 * UNIT.points == 3072
 
     @pytest.mark.parametrize("order", [0, 3])
