@@ -11,10 +11,11 @@ Subcommands:
 Diagnostics go to stderr only.  Exit codes: 0 success, 1 invalid values
 (a negative or too large order, a tolerance or radius that is not
 positive and finite, too few or too many samples or quadrature points,
-an inner contour not inside the outer one) and other errors, 2 parse
-and usage errors (a plot grid of fewer than 2 or more than 65536
-points included), 3 vanishing inner derivative at the expansion point,
-4 singularities, 5 oracle disagreement.  Output is
+an inner contour not inside the outer one when some B_n is not
+negligible) and other errors, 2 parse and usage errors (a plot grid of
+fewer than 2 or more than 65536 points included), 3 vanishing inner
+derivative at the expansion point, 4 singularities, 5 oracle
+disagreement.  Output is
 deterministic for a fixed configuration: floats print as their shortest
 round-trip decimal and JSON key order is fixed.
 

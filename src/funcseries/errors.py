@@ -63,4 +63,5 @@ class QuadratureSingularity(FuncSeriesError):
 
 class AnnulusViolation(FuncSeriesError):
     """The evaluation point lies outside the expansion's validity annulus,
-    or the contours leave that annulus empty."""
+    or the contours leave that annulus empty while some B_n is not
+    negligible."""

@@ -840,9 +840,9 @@ def _eval(e: Expr, z: complex) -> complex:
 
 
 def _compile(e: Expr) -> Callable[[complex], complex]:
-    # one closure per node, mirroring the matching branch of _eval; a node
-    # that can only fail (a constant beyond double range) or that _eval
-    # does not know runs _eval itself, so it raises when evaluated
+    # one closure per node, mirroring the matching branch of _eval; a
+    # constant beyond double range runs _eval itself, so it raises when
+    # evaluated rather than when compiled
     kind = e.kind
     if kind == CONST:
         try:
@@ -890,7 +890,7 @@ def _compile(e: Expr) -> Callable[[complex], complex]:
             except (ZeroDivisionError, OverflowError, ValueError) as exc:
                 raise SingularEvaluation(f"power undefined at z={z}: {exc}") from exc
         return raised
-    if kind == CALL and e.name in FUNCTIONS:
+    if kind == CALL:
         arg, name, rule = _compile(e.args[0]), e.name, FUNCTIONS[e.name][0]
         on_cut = name in ("log", "sqrt")
 
@@ -906,7 +906,7 @@ def _compile(e: Expr) -> Callable[[complex], complex]:
                 raise SingularEvaluation(f"{name} non-finite at z={z}")
             return out
         return applied
-    return lambda z: _eval(e, z)
+    raise AssertionError(f"unreachable node kind {kind}")
 
 
 # --------------------------------------------------------------------------

@@ -25,8 +25,10 @@ evaluated once per node: f, theta' and theta on c1 for A_0, f' on c1
 number of evaluations does not grow with the order.  The validity ring
 is read from the same sweep: the smallest |theta| over the c1 nodes and
 the largest over the c2 nodes.  An inner contour whose largest |theta|
-is not below the outer contour's smallest leaves no ring and raises
-AnnulusViolation.
+is not below the outer contour's smallest leaves no ring; that raises
+AnnulusViolation when some B_n is not negligible, while a purely
+positive expansion (a nonlinear theta can make the ranges overlap)
+stays usable.
 
 This module is the classical cross-check for the expansion engine:
 with theta(z) = z - z0 the A_n must match the engine's coefficients
@@ -155,16 +157,19 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
         zs, phase = inner.nodes()
         th = _values_on(theta, zs)
         inner_max = float(np.abs(th).max())
-        if inner_max >= outer_min:
-            raise AnnulusViolation(
-                f"empty annulus: the largest |theta| on the inner contour, "
-                f"{inner_max:.6g}, is not below the smallest on the outer, "
-                f"{outer_min:.6g}")
         if order:
             weighted = _values_on(fprime, zs) * phase
             for n in range(1, order + 1):
                 b.append(-inner.radius / (n * inner.points)
                          * _contour_sum(weighted * th**n, "inner"))
+        # an empty ring only matters when there is a negative-power part:
+        # with every B_n negligible the expansion is purely positive
+        if inner_max >= outer_min and any(abs(c) > NEGLIGIBLE_COEFFICIENT
+                                          for c in b):
+            raise AnnulusViolation(
+                f"empty annulus: the largest |theta| on the inner contour, "
+                f"{inner_max:.6g}, is not below the smallest on the outer, "
+                f"{outer_min:.6g}, and some B_n is not negligible")
     return TeixeiraExpansion(complex(zero_point), theta, tuple(a), tuple(b),
                              outer, inner, outer_min, inner_max)
 

@@ -275,7 +275,22 @@ class TestInputErrors:
             "--contour", "0:0.5", "--contour", "0:1", "--order", "4", *x)
         assert (code, out) == (1, "")
         assert err == ("error: empty annulus: the largest |theta| on the inner "
-                       "contour, 1, is not below the smallest on the outer, 0.5\n")
+                       "contour, 1, is not below the smallest on the outer, 0.5, "
+                       "and some B_n is not negligible\n")
+
+    @pytest.mark.parametrize("x", [[], ["--x", "0.3"]])
+    def test_overlapping_contours_without_negative_part_exit_0(self, capsys, x):
+        # theta = exp(z) - 1 on the default contours: the inner |theta|
+        # reaches 0.6487, above the outer minimum 0.6321, yet every B_n is ~0
+        code, out, err = run_cli(
+            capsys, "teixeira", "--f", "exp(2*z)", "--s", "exp(z) - 1",
+            "--order", "4", *x)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert all(abs(complex(*b)) < 1e-14 for b in report["B"])
+        if x:
+            assert complex(*report["partial_sum"]["value"]) == pytest.approx(
+                math.exp(0.6), abs=1e-12)
 
     def test_check_s_without_f_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "check", "--s", "sin(z)", "--order", "2")

@@ -95,6 +95,17 @@ class TestNegativeCoefficients:
             teixeira_expand(parse("1/z + exp(z)"), parse("z"), 0.0,
                             UNIT, ContourSpec(0.0, inner_radius), 4)
 
+    @pytest.mark.parametrize("f, theta", [("exp(2*z)", "exp(z) - 1"),
+                                          ("9^(-z)", "3^(-z) - 1")])
+    def test_empty_ring_allowed_without_negative_part(self, f, theta):
+        # a nonlinear theta makes the two contours' |theta| ranges overlap,
+        # but with every B_n negligible the expansion is purely positive
+        tx = teixeira_expand(parse(f), parse(theta), 0.0, UNIT, HALF, 4)
+        assert tx.inner_theta_max >= tx.outer_theta_min
+        assert all(abs(b) < 1e-14 for b in tx.b_coefficients)
+        assert teixeira_partial_sum(tx, 0.3, 4) == pytest.approx(
+            evaluate(parse(f), 0.3), abs=1e-12)
+
 
 class TestQuadratureQuality:
     def test_doubling_nodes_changes_nothing_measurable(self):
