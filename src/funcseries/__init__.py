@@ -5,7 +5,16 @@ operator (1/s'(z)) d/dz symbolically and evaluating at z0; an
 independent truncated-series oracle cross-checks the coefficients,
 remainder bounds estimate truncation error, and classical contour
 quadrature provides a further cross-check where it applies.
+
+Only the oracle and the quadrature compute with numpy, so their six
+public names (``TruncatedSeries``, ``oracle_coefficients``,
+``ContourSpec``, ``TeixeiraExpansion``, ``teixeira_expand``,
+``teixeira_partial_sum``) are resolved on first access (PEP 562): an
+import of the package, and an expansion, plot or remainder bound, never
+loads numpy.
 """
+
+import importlib
 
 from .composite import OperatorChain, composite_derivative, z_derivative_via_s
 from .errors import (
@@ -37,9 +46,9 @@ from .expr import (
     var,
     variables,
 )
-from .oracle import CATALOG, TruncatedSeries, oracle_coefficients
 from .remainder import RemainderEstimate, complex_bound, lagrange_bound, measured_error
 from .series import (
+    CATALOG,
     ExpansionRequest,
     SeriesExpansion,
     detect_termination,
@@ -48,11 +57,27 @@ from .series import (
     partial_sum,
     power_expansion_coefficients,
 )
-from .teixeira import (
-    ContourSpec,
-    TeixeiraExpansion,
-    teixeira_expand,
-    teixeira_partial_sum,
-)
 
 __version__ = "0.1.0"
+
+#: public names whose modules import numpy, by the module that defines them
+_LAZY = {
+    "TruncatedSeries": "oracle",
+    "oracle_coefficients": "oracle",
+    "ContourSpec": "teixeira",
+    "TeixeiraExpansion": "teixeira",
+    "teixeira_expand": "teixeira",
+    "teixeira_partial_sum": "teixeira",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -13,11 +13,16 @@ Diagnostics go to stderr only.  Exit codes: 0 success, 1 invalid values
 positive and finite, too few or too many samples or quadrature points,
 an inner contour not inside the outer one when some B_n is not
 negligible) and other errors, 2 parse and usage errors (a plot grid of
-fewer than 2 or more than 65536 points included), 3 vanishing inner
-derivative at the expansion point, 4 singularities, 5 oracle
-disagreement.  Output is
-deterministic for a fixed configuration: floats print as their shortest
-round-trip decimal and JSON key order is fixed.
+fewer than 2 or more than 65536 points, or with a start, stop or span
+that is not finite, and a third teixeira --contour, included), 3
+vanishing inner derivative at the expansion point, 4 singularities, 5
+oracle disagreement.  Output is deterministic for a fixed
+configuration: floats print as their shortest round-trip decimal and
+JSON key order is fixed.
+
+Only ``check`` and ``teixeira`` compute with numpy; they import the
+oracle and the quadrature module when they run, so ``expand``, ``plot``
+and ``remainder`` start without loading numpy.
 
 A config file of ``key=value`` lines (keys named like the long flags,
 e.g. ``order=6``) supplies defaults; explicit flags win.
@@ -29,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .errors import (
@@ -42,16 +48,15 @@ from .errors import (
     SingularEvaluation,
 )
 from .expr import Expr, evaluator, parse
-from .oracle import CATALOG, oracle_coefficients
 from .remainder import complex_bound, lagrange_bound, measured_error
 from .series import (
+    CATALOG,
     DERIVATIVE_ZERO_TOL,
     TERMINATION_TOL,
     ExpansionRequest,
     SeriesExpansion,
     expand,
 )
-from .teixeira import ContourSpec, teixeira_expand, teixeira_partial_sum
 
 #: engine/oracle agreement threshold for the check subcommand
 CHECK_TOL = 1e-8
@@ -72,6 +77,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError("grid start and stop must be finite")
+    if not math.isfinite(stop - start):
+        raise argparse.ArgumentTypeError("grid span stop - start overflows a float")
     if count < 2:
         raise argparse.ArgumentTypeError("grid count must be >= 2")
     if count > MAX_GRID_COUNT:
@@ -84,6 +93,16 @@ def _parse_contour(text: str) -> tuple[complex, float]:
     if not center_text:
         raise argparse.ArgumentTypeError("contour must be center:radius")
     return _parse_complex(center_text), float(radius_text)
+
+
+class _AppendContour(argparse.Action):
+    """Collect --contour values: the outer contour, then at most one inner."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        contours = getattr(namespace, self.dest) or []
+        if len(contours) == 2:
+            raise argparse.ArgumentError(self, "give at most two contours: outer, then inner")
+        setattr(namespace, self.dest, contours + [value])
 
 
 def _fmt_float(x: float) -> str:
@@ -147,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teixeira", help="two-sided contour coefficients")
     common(p)
     p.add_argument("--quadrature-points", type=int, default=512)
-    p.add_argument("--contour", type=_parse_contour, action="append", default=None,
-                   help="center:radius; give twice for outer then inner")
+    p.add_argument("--contour", type=_parse_contour, action=_AppendContour, default=None,
+                   help="center:radius; give at most twice: outer, then inner")
     p.add_argument("--x", type=_parse_complex, default=None,
                    help="optionally evaluate the partial sum at this point")
     p.set_defaults(func=cmd_teixeira)
@@ -232,6 +251,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .oracle import oracle_coefficients
+
     if args.f is not None and args.s is None:
         raise ParseError("--s is required when --f is given", 0)
     if args.s is not None and args.f is None:
@@ -294,6 +315,8 @@ def cmd_remainder(args) -> int:
 
 
 def cmd_teixeira(args) -> int:
+    from .teixeira import ContourSpec, teixeira_expand, teixeira_partial_sum
+
     f = parse(args.f)
     theta = parse(args.s)
     contours = args.contour or [(complex(args.z0), 1.0)]

@@ -22,6 +22,12 @@ module.  The jets are also the Taylor data for the inverse-composite
 route in :mod:`funcseries.series`.  All values are complex128 and
 instances are immutable, so everything here can run concurrently.
 
+With :mod:`funcseries.teixeira` this is the only module that imports
+numpy, so the rest of the package imports it lazily: the package
+resolves ``TruncatedSeries`` and ``oracle_coefficients`` on first
+access, and ``check`` and the inverse route import it when they run.
+The pairs it is checked on are ``series.CATALOG``.
+
     >>> from funcseries.expr import parse
     >>> TruncatedSeries.from_expr(parse("exp(z)"), 0.0, 4).coefficients.real
     array([1.        , 1.        , 0.5       , 0.16666667, 0.04166667])
@@ -55,19 +61,6 @@ from .expr import (
 
 #: |constant term| below this makes a series unusable as a divisor
 SERIES_DIVISION_FLOOR = 1e-300
-
-#: fixed catalog of (label, f text, s text, z0) pairs used by the
-#: engine/oracle agreement checks, the CLI `check` subcommand and the
-#: remainder soundness sweeps
-CATALOG: tuple[tuple[str, str, str, complex], ...] = (
-    ("rational-in-sine", "1/(1+z)", "sin(z)", 0.0),
-    ("binomial-family", "1/(1-2^(1-z))", "2^(-z)", 0.5),
-    ("power-8-in-2", "8^(-z)", "2^(-z)", 0.0),
-    ("power-9-in-3", "9^(-z)", "3^(-z)", 0.0),
-    ("power-5-in-2", "5^(-z)", "2^(-z)", 0.0),
-    ("degenerate-rational", "1/(z-2)^2", "1/(z-2)", 0.0),
-    ("square-of-exponential", "exp(2*z)", "exp(z)", 0.0),
-)
 
 
 # --------------------------------------------------------------------------

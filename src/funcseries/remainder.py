@@ -12,7 +12,10 @@ N + 1 terms:
   point is unknown, so the bound maximizes over a sampled grid, which
   in principle can under-estimate.  s' and the entry are each compiled
   once per call (``expr.evaluator``) and read at every grid point.  The
-  sample count, at most MAX_SAMPLES, is recorded on the result.
+  grid is built in plain Python with ``np.linspace``'s arithmetic, so
+  its points, and the bound, are bit for bit those of linspace without
+  loading numpy.  The sample count, at most MAX_SAMPLES, is recorded on
+  the result.
 * :func:`complex_bound` -- bound for complex arguments treating the
   unknown mean-value rotation adversarially inside its unit disk, which
   makes it |s(z) - s0|^(N+1)/(N+1)! times |ladder entry N+1 at z0|.
@@ -29,8 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NonMonotoneComposite
 from .expr import evaluate, evaluator
@@ -74,6 +75,19 @@ def _check_upto(exp: SeriesExpansion, upto: int) -> None:
         raise ValueError(f"bounds need upto < {MAX_ORDER}: (upto + 1)! must fit a float")
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """The n >= 2 points of ``np.linspace(start, stop, n)``, bit for bit."""
+    div = n - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # a subnormal span underflows the step: linspace scales i/div instead
+        grid = [i / div * delta + start for i in range(n)]
+    else:
+        grid = [i * step + start for i in range(n)]
+    grid[-1] = stop
+    return grid
+
+
 def _mean_value_bound(span: float, upto: int, size: float) -> float:
     return span ** (upto + 1) / math.factorial(upto + 1) * size
 
@@ -101,7 +115,7 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
     if samples > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples")
 
-    grid = np.linspace(exp.z0.real, z.real, samples)
+    grid = _linspace(exp.z0.real, z.real, samples)
     # monotonicity of s: sample s' and require one strict sign
     slope = evaluator(exp.chain.sprime)
     slopes = [slope(complex(x)).real for x in grid]

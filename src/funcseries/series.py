@@ -20,7 +20,11 @@ which terminate exactly when the power is 1/n.
 case where an explicit inverse g of s is available: it Taylor-expands
 h = f(g(.)) at s(z0), which must agree with :func:`expand`.  Its Taylor
 coefficients come from the jets of :mod:`funcseries.oracle`, not from a
-second symbolic differentiation ladder.
+second symbolic differentiation ladder; the oracle is imported when that
+route runs, so this module, like an expansion, never loads numpy.
+
+:data:`CATALOG` is the fixed list of (f, s, z0) pairs that the
+engine/oracle checks, the ``check`` subcommand and the benchmark read.
 
 Each expansion builds a private operator chain, so distinct requests
 may run concurrently.  A returned SeriesExpansion is frozen, but its
@@ -46,7 +50,6 @@ from .expr import (
     format_expr,
     substitute,
 )
-from .oracle import TruncatedSeries
 
 #: |s'(z0)| at or below this is treated as a vanishing derivative
 DERIVATIVE_ZERO_TOL = 1e-12
@@ -59,6 +62,19 @@ TERMINATION_RUN = 3
 
 #: largest expansion order: n! no longer fits a double beyond 170
 MAX_ORDER = 170
+
+#: fixed catalog of (label, f text, s text, z0) pairs used by the
+#: engine/oracle agreement checks, the CLI `check` subcommand and the
+#: remainder soundness sweeps; plain data, so reading it loads no numpy
+CATALOG: tuple[tuple[str, str, str, complex], ...] = (
+    ("rational-in-sine", "1/(1+z)", "sin(z)", 0.0),
+    ("binomial-family", "1/(1-2^(1-z))", "2^(-z)", 0.5),
+    ("power-8-in-2", "8^(-z)", "2^(-z)", 0.0),
+    ("power-9-in-3", "9^(-z)", "3^(-z)", 0.0),
+    ("power-5-in-2", "5^(-z)", "2^(-z)", 0.0),
+    ("degenerate-rational", "1/(z-2)^2", "1/(z-2)", 0.0),
+    ("square-of-exponential", "exp(2*z)", "exp(z)", 0.0),
+)
 
 
 @dataclass(frozen=True)
@@ -217,6 +233,8 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
     formed, and ConstantComposite as in expand(), whose result it
     matches field for field.
     """
+    from .oracle import TruncatedSeries  # the jets need numpy: load it only here
+
     z0 = complex(z0)
     chain = OperatorChain(f, s)
     try:

@@ -14,10 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from funcseries import CATALOG
 from funcseries.cli import main as cli_main
 from funcseries.composite import composite_derivative, z_derivative_via_s
 from funcseries.expr import differentiate, evaluate, parse, simplify, substitute
-from funcseries.oracle import CATALOG, oracle_coefficients
+from funcseries.oracle import oracle_coefficients
 from funcseries.remainder import lagrange_bound, measured_error
 from funcseries.series import (
     ExpansionRequest,

@@ -22,6 +22,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """The one error line of an argparse usage error (exit 2, no stdout)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse prints its usage lines, then one error line
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+    return errors[0]
+
+
 class TestExpand:
     def test_rational_in_sine_report(self, capsys):
         code, out, err = run_cli(
@@ -257,16 +270,24 @@ class TestInputErrors:
         assert time.perf_counter() - start < 5.0
 
     def test_plot_grid_count_capped(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plot", "--f", "exp(z)", "--s", "z", "--grid", "0:1:65537"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        # argparse prints its usage lines, then one error line
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == ["funcseries plot: error: argument --grid: "
-                          "grid count must be <= 65536"]
-        assert captured.err.endswith(errors[0] + "\n")
+        line = usage_error(capsys, "plot", "--f", "exp(z)", "--s", "z", "--grid", "0:1:65537")
+        assert line == "funcseries plot: error: argument --grid: grid count must be <= 65536"
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0:inf:5", "grid start and stop must be finite"),
+        ("nan:1:5", "grid start and stop must be finite"),
+        ("-inf:0:5", "grid start and stop must be finite"),
+        ("-1e308:1e308:3", "grid span stop - start overflows a float"),
+    ])
+    def test_plot_grid_not_finite_is_usage_error(self, capsys, grid, message):
+        line = usage_error(capsys, "plot", "--f", "exp(z)", "--s", "z", f"--grid={grid}")
+        assert line == f"funcseries plot: error: argument --grid: {message}"
+
+    def test_third_contour_is_usage_error(self, capsys):
+        line = usage_error(capsys, "teixeira", "--f", "1/z + exp(z)", "--s", "z",
+                           "--contour", "0:1", "--contour", "0:0.5", "--contour", "0:0.2")
+        assert line == ("funcseries teixeira: error: argument --contour: "
+                        "give at most two contours: outer, then inner")
 
     @pytest.mark.parametrize("x", [[], ["--x", "0.3"]])
     def test_inner_contour_outside_outer_exits_1(self, capsys, x):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from funcseries import CATALOG
 from funcseries.composite import (
     OperatorChain,
     composite_derivative,
@@ -22,7 +23,6 @@ from funcseries.expr import (
     simplify,
     substitute,
 )
-from funcseries.oracle import CATALOG
 
 RNG = np.random.default_rng(907)
 

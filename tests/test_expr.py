@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from funcseries import CATALOG
 from funcseries.composite import OperatorChain
 from funcseries.errors import (
     FuncSeriesError,
@@ -34,7 +35,6 @@ from funcseries.expr import (
     var,
     variables,
 )
-from funcseries.oracle import CATALOG
 
 Z = var("z")
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from funcseries import CATALOG
 from funcseries.errors import (
     CompositionOffsetNonzero,
     DivisionBySingularSeries,
@@ -11,7 +12,6 @@ from funcseries.errors import (
 )
 from funcseries.expr import differentiate, evaluate, parse, simplify
 from funcseries.oracle import (
-    CATALOG,
     TruncatedSeries,
     oracle_coefficients,
     reconstruct,

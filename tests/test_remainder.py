@@ -129,6 +129,19 @@ class TestLagrangeBound:
         assert compiled == [exp.chain.sprime, exp.chain.entry(3)]
         assert len(calls) == 2 * 48
 
+    @pytest.mark.parametrize("n", [2, 3, 64, MAX_SAMPLES])
+    def test_grid_is_linspace_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        ends = [tuple(rng.uniform(-3, 3, 2).tolist()) for _ in range(8)]
+        ends += [(b, a) for a, b in ends]  # both directions
+        ends += [(0.4, 0.4), (-0.0, 0.7), (-0.0, -0.5), (-0.0, -0.0)]
+        # subnormal spans: the step underflows to 0 and linspace scales i/div
+        ends += [(0.0, 5e-324), (1e-310, 1e-310 + 5e-324), (5e-324, -5e-324)]
+        for start, stop in ends:
+            got = remainder._linspace(start, stop, n)
+            want = np.linspace(start, stop, n).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want], (start, stop, n)
+
     @pytest.mark.parametrize("f_text,s_text,z0,zs", REAL_CASES)
     def test_soundness_sweep(self, f_text, s_text, z0, zs):
         exp = expand_pair(f_text, s_text, z0, 7)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from funcseries import CATALOG
 from funcseries.errors import (
     CompositeDerivativeZero,
     ConstantComposite,
@@ -15,7 +16,7 @@ from funcseries.errors import (
     UnknownFunction,
 )
 from funcseries.expr import evaluate, parse
-from funcseries.oracle import CATALOG, oracle_coefficients
+from funcseries.oracle import oracle_coefficients
 from funcseries.series import (
     ExpansionRequest,
     detect_termination,
