@@ -60,6 +60,23 @@ from .series import (
 
 __version__ = "0.1.0"
 
+#: what ``from funcseries import *`` binds: the public names, the six
+#: numpy-backed ones included (so a star import loads numpy)
+__all__ = [
+    "AnnulusViolation", "CATALOG", "CompositeDerivativeZero", "CompositionOffsetNonzero",
+    "ConstantComposite", "ContourSpec", "DivisionBySingularSeries", "ExpansionRequest",
+    "Expr", "FuncSeriesError", "InverseMismatch", "LeadingCoefficientZero",
+    "MultipleVariables", "NonMonotoneComposite", "OperatorChain", "ParseError",
+    "QuadratureSingularity", "RemainderEstimate", "SeriesExpansion",
+    "SingularAtExpansionPoint", "SingularEvaluation", "TeixeiraExpansion",
+    "TruncatedSeries", "UnknownFunction", "complex_bound", "composite_derivative",
+    "const", "detect_termination", "differentiate", "evaluate", "expand",
+    "format_expr", "inverse_composite_expand", "lagrange_bound", "measured_error",
+    "oracle_coefficients", "parse", "partial_sum", "power_expansion_coefficients",
+    "simplify", "substitute", "teixeira_expand", "teixeira_partial_sum", "var",
+    "variables", "z_derivative_via_s",
+]
+
 #: public names whose modules import numpy, by the module that defines them
 _LAZY = {
     "TruncatedSeries": "oracle",

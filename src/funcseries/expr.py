@@ -62,7 +62,7 @@ DIVISION_FLOOR = 1e-300
 MAX_FOLD_BITS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """One node of an expression tree.
 
@@ -70,7 +70,8 @@ class Expr:
     (a Fraction, float, or complex), variables and function
     applications carry ``name``, and the remaining kinds carry child
     nodes in ``args`` (n-ary for add/multiply, binary for
-    divide/power, unary for negate and calls).
+    divide/power, unary for negate and calls).  Nodes are slotted (no
+    per-node ``__dict__``), which keeps the ladders a cache holds small.
     """
 
     kind: str

@@ -21,11 +21,13 @@ N + 1 terms:
   makes it |s(z) - s0|^(N+1)/(N+1)! times |ladder entry N+1 at z0|.
 
 Both bounds raise ValueError unless 0 <= N <= the expansion's order and
-N + 1 <= series.MAX_ORDER, beyond which (N+1)! no longer fits a float.
+N + 1 <= series.MAX_ORDER, beyond which (N+1)! no longer fits a float,
+and when |s(z) - s0|^(N+1) leaves double range; a ladder entry N + 1
+that is 0 there makes the bound 0 however far out z is.
 
-All functions are pure over their inputs; note that they extend the
-ladder cached on the expansion's ``chain``, so do not share one
-SeriesExpansion between threads while bounding.
+All functions are pure over their inputs.  The bounds extend the ladder
+of the expansion's shared ``chain``, which is thread-safe, so one
+SeriesExpansion may be bounded from several threads at once.
 """
 
 from __future__ import annotations
@@ -89,7 +91,14 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 
 def _mean_value_bound(span: float, upto: int, size: float) -> float:
-    return span ** (upto + 1) / math.factorial(upto + 1) * size
+    """span^(upto+1)/(upto+1)! * size; 0 when the entry factor size is 0."""
+    if size == 0:
+        return 0.0
+    try:
+        return span ** (upto + 1) / math.factorial(upto + 1) * size
+    except OverflowError:
+        raise ValueError(f"|s(z) - s0|^{upto + 1} = {span:.6g}^{upto + 1} "
+                         "overflows a float") from None
 
 
 def measured_error(exp: SeriesExpansion, z: complex, upto: int) -> RemainderEstimate:

@@ -8,7 +8,9 @@ finite, :func:`expand` produces coefficients c_n such that
 where c_n is the n'th composite derivative of f with respect to s,
 evaluated at z0 and divided by n!.  With s = z this reduces to the
 ordinary Taylor series.  Coefficients are stored numerically; the
-operator chain that built them stays on the result for remainder bounds.
+operator chain that built them, shared by every expansion of the same
+(f, s) through :func:`funcseries.composite.cached_chain`, stays on the
+result for remainder bounds.
 
 Some pairs terminate: beyond some index every coefficient vanishes and
 the truncated sum is an identity for f.  :func:`detect_termination`
@@ -26,9 +28,9 @@ route runs, so this module, like an expansion, never loads numpy.
 :data:`CATALOG` is the fixed list of (f, s, z0) pairs that the
 engine/oracle checks, the ``check`` subcommand and the benchmark read.
 
-Each expansion builds a private operator chain, so distinct requests
-may run concurrently.  A returned SeriesExpansion is frozen, but its
-chain still appends ladder entries when the bounds ask for them.
+Everything here is thread-safe: a returned SeriesExpansion is frozen,
+and its shared chain appends ladder entries, when the bounds ask for
+them, under the chain's own lock.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .composite import OperatorChain
+from .composite import OperatorChain, cached_chain
 from .errors import (
     CompositeDerivativeZero,
     InverseMismatch,
@@ -106,8 +108,8 @@ class SeriesExpansion:
     ``coefficients[n]`` multiplies (s(z) - s0)^n.  ``terminated_at`` is
     the last index with a non-negligible coefficient when the stored
     tail vanished, else None.  ``chain`` is the operator chain of f and
-    s, reused by the remainder bounds; it appends ladder entries on
-    demand and must not be shared between threads.
+    s, shared by every expansion of the pair and reused by the remainder
+    bounds; it appends ladder entries on demand, safely from any thread.
     """
 
     f: Expr
@@ -141,7 +143,7 @@ def expand(req: ExpansionRequest) -> SeriesExpansion:
     tolerance, and SingularAtExpansionPoint when f, s, or any ladder
     entry cannot be evaluated at z0.
     """
-    chain = OperatorChain(req.f, req.s)
+    chain = cached_chain(req.f, req.s)
     try:
         s0 = evaluate(req.s, req.z0)
         sp0 = evaluate(chain.sprime, req.z0)
@@ -236,7 +238,7 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
     from .oracle import TruncatedSeries  # the jets need numpy: load it only here
 
     z0 = complex(z0)
-    chain = OperatorChain(f, s)
+    chain = cached_chain(f, s)
     try:
         s0 = evaluate(s, z0)
         back = evaluate(g, s0)

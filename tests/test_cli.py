@@ -181,6 +181,22 @@ class TestRemainder:
         assert by_kind["complex-theta"]["bound"] < 1e-14
 
 
+    def test_bound_beyond_double_range_is_an_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "remainder", "--f", "sin(z)", "--s", "z", "--order", "2",
+            "--z", "1e155")
+        assert code == 1 and out == ""
+        assert err == "error: |s(z) - s0|^3 = 1e+155^3 overflows a float\n"
+
+    def test_vanishing_entry_bounds_are_zero_far_out(self, capsys):
+        code, out, err = run_cli(
+            capsys, "remainder", "--f", "exp(2*z)", "--s", "exp(z)", "--order", "3",
+            "--z", "300")
+        assert code == 0 and err == ""
+        bounds = {e["kind"]: e["bound"] for e in json.loads(out)["estimates"]}
+        assert bounds["complex-theta"] == 0.0 and bounds["real-lagrange"] == 0.0
+
+
 class TestTeixeira:
     def test_taylor_coefficient_table(self, capsys):
         code, out, _ = run_cli(

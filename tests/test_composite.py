@@ -1,19 +1,27 @@
-"""Iterated composite-derivative operator and its reverse direction."""
+"""Iterated composite-derivative operator, its shared cache and the reverse direction."""
 
+import contextlib
 import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import funcseries.composite as composite
 from funcseries import CATALOG
 from funcseries.composite import (
     OperatorChain,
+    cached_chain,
     composite_derivative,
+    ladder_cache_info,
     z_derivative_via_s,
 )
-from funcseries.errors import ConstantComposite
+from funcseries.errors import ConstantComposite, SingularEvaluation
 from funcseries.expr import (
+    add,
     const,
     differentiate,
     divide,
@@ -23,6 +31,7 @@ from funcseries.expr import (
     simplify,
     substitute,
 )
+from funcseries.series import ExpansionRequest, expand, inverse_composite_expand
 
 RNG = np.random.default_rng(907)
 
@@ -211,3 +220,212 @@ class TestReverseDirection:
     def test_rejects_constant_inner(self):
         with pytest.raises(ConstantComposite):
             z_derivative_via_s(parse("s"), const(2), 1)
+
+
+@contextlib.contextmanager
+def fast_switching():
+    """Switch threads every 10 us, so races show within a short test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def ladders(monkeypatch):
+    """An empty chain cache in place of the process-wide one."""
+    cache = composite._LadderCache()
+    monkeypatch.setattr(composite, "_LADDERS", cache)
+    return cache
+
+
+def counted_nodes(f, s, n):
+    """Nodes a cache of its own counts for the ladder of (f, s) to entry n."""
+    cache = composite._LadderCache()
+    cache.chain(f, s).entry(n)
+    return cache.info().nodes
+
+
+def distinct_nodes(e):
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.args)
+    return len(seen)
+
+
+def tree_nodes(e):
+    return 1 + sum(tree_nodes(a) for a in e.args)
+
+
+def coefficient_bits(exp):
+    return [(c.real.hex(), c.imag.hex()) for c in exp.coefficients]
+
+
+class TestLadderCache:
+    def test_repeated_pair_shares_one_chain(self, ladders):
+        f, s = parse("1/(1+z)"), parse("sin(z)")
+        first = cached_chain(f, s)
+        assert cached_chain(parse("1/(1+z)"), parse("sin(z)")) is first
+        assert ladder_cache_info() == (1, 1, 1, counted_nodes(f, s, 0))
+
+    def test_expansions_of_a_pair_share_the_ladder(self, ladders):
+        f, s = parse("exp(2*z)"), parse("exp(z)")
+        low = expand(ExpansionRequest(f, s, 0.0, 3))
+        high = expand(ExpansionRequest(f, s, 0.4, 5))
+        assert high.chain is low.chain and len(low.chain) == 6
+        assert inverse_composite_expand(f, s, parse("log(w)"), 0.1, 2).chain is low.chain
+        assert composite_derivative(f, s, 4) is low.chain.entry(4)
+        assert ladder_cache_info().hits == 3
+
+    @pytest.mark.parametrize("fa,fb", [
+        (parse("exp(2*z)"), parse("exp(2.0*z)")),
+        (const(0.0), const(-0.0)),
+    ], ids=["int-float", "signed-zero"])
+    def test_pairs_equal_as_trees_get_separate_ladders(self, ladders, fa, fb):
+        # Expr equality merges 2 with 2.0 and 0.0 with -0.0; the ladders do not
+        s = parse("sin(z)")
+        assert fa == fb
+        one, two = cached_chain(fa, s), cached_chain(fb, s)
+        assert one is not two
+        for chain, f in ((one, fa), (two, fb)):
+            fresh = OperatorChain(f, s)
+            assert [repr(chain.entry(n)) for n in range(4)] == \
+                [repr(fresh.entry(n)) for n in range(4)]
+        assert repr(one.entry(0)) != repr(two.entry(0))
+
+    def test_integer_and_float_ladders_print_differently(self, ladders):
+        s = parse("sin(z)")
+        text = [format_expr(cached_chain(parse(f), s).entry(3))
+                for f in ("exp(2*z)", "exp(2.0*z)")]
+        assert text[0].startswith("(10*exp(2*z)") and "." not in text[0]
+        assert text[1].startswith("(10.0*exp(2.0*z)")
+
+    @pytest.mark.parametrize("label,f_text,s_text,z0", CATALOG)
+    def test_warm_expansion_is_bit_identical_to_a_fresh_chain(
+            self, ladders, label, f_text, s_text, z0):
+        req = ExpansionRequest(parse(f_text), parse(s_text), z0, 8)
+        cold = expand(req)
+        warm = expand(ExpansionRequest(parse(f_text), parse(s_text), z0, 8))
+        assert warm.chain is cold.chain
+        fresh = OperatorChain(parse(f_text), parse(s_text))
+        want = [(evaluate(fresh.entry(n), z0) / math.factorial(n)) for n in range(9)]
+        assert coefficient_bits(cold) == coefficient_bits(warm)
+        assert coefficient_bits(warm) == [(c.real.hex(), c.imag.hex()) for c in want]
+
+    def test_node_budget_and_lru_eviction(self, ladders, monkeypatch):
+        s = parse("sin(z)")
+        pairs = [parse(f"1/({a}+z)") for a in (2, 3, 4)]
+        sizes = [counted_nodes(f, s, 3) for f in pairs]
+        # room for two of the three ladders, not three
+        monkeypatch.setattr(composite, "LADDER_CACHE_NODES", sizes[0] + sizes[1] + 1)
+        a, b = (cached_chain(f, s) for f in pairs[:2])
+        a.entry(3), b.entry(3)
+        assert ladder_cache_info()[2:] == (2, sizes[0] + sizes[1])
+        assert cached_chain(parse("1/(2+z)"), s) is a  # a is now the most recent
+        c = cached_chain(pairs[2], s)
+        c.entry(3)
+        info = ladder_cache_info()
+        assert info.ladders == 2 and info.nodes == sizes[0] + sizes[2]
+        assert info.nodes <= composite.LADDER_CACHE_NODES
+        assert cached_chain(parse("1/(2+z)"), s) is a
+        assert cached_chain(parse("1/(3+z)"), s) is not b  # b was least recent
+
+    def test_ladder_larger_than_the_budget_is_not_kept(self, ladders, monkeypatch):
+        s = parse("sin(z)")
+        assert counted_nodes(parse("1/(1+z)"), s, 8) > 200
+        monkeypatch.setattr(composite, "LADDER_CACHE_NODES", 200)
+        big = cached_chain(parse("1/(1+z)"), s)
+        small = cached_chain(parse("z"), parse("exp(z)"))
+        big.entry(8)
+        assert ladder_cache_info()[2:] == (1, 1)  # only small's entry 0, z
+        assert cached_chain(parse("1/(1+z)"), s) is not big
+        assert cached_chain(parse("z"), parse("exp(z)")) is small
+        assert len(big) == 9  # the caller's chain still works
+
+    @pytest.mark.parametrize("f_text,s_text,error", [
+        ("exp(z)", "3", ConstantComposite),
+        ("w^2", "sin(z)", ValueError),
+    ], ids=["constant-inner", "mixed-variables"])
+    def test_failed_build_is_not_cached(self, ladders, f_text, s_text, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                cached_chain(parse(f_text), parse(s_text))
+        assert ladder_cache_info() == (0, 2, 0, 0)
+
+    def test_singular_entry_is_raised_again(self, ladders):
+        # entry 2 merges 2^1100*exp(z) with 0.5*exp(z): beyond double range
+        f, s = parse("2^1100*z^2*exp(z) + 0.5*exp(z)"), parse("z")
+        for _ in range(2):
+            with pytest.raises(SingularEvaluation, match="floating-point range"):
+                composite_derivative(f, s, 3)
+        chain = cached_chain(f, s)
+        assert len(chain) == 2  # entries 0 and 1 stay, entry 2 is tried again
+        with pytest.raises(SingularEvaluation, match="floating-point range"):
+            chain.entry(2)
+        assert ladder_cache_info()[:3] == (2, 1, 1)
+
+    def test_threads_extend_one_chain_once(self, ladders):
+        f, s = parse("1/(1+z)"), parse("sin(z)")
+        chain = cached_chain(f, s)
+        start = threading.Barrier(4, timeout=60)
+
+        def build():
+            start.wait()
+            return [chain.entry(n) for n in range(8, -1, -1)]
+
+        with fast_switching(), ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(build) for _ in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+        assert len(chain) == 9
+        serial = OperatorChain(f, s)
+        for result in results:
+            assert all(got is chain.entry(8 - i) for i, got in enumerate(result))
+            assert [repr(e) for e in result] == [repr(serial.entry(n)) for n in range(8, -1, -1)]
+        assert ladder_cache_info().nodes == counted_nodes(f, s, 8)
+
+    def test_threads_keep_the_node_count_exact_under_eviction(self, ladders, monkeypatch):
+        # 8 threads look up and extend 6 pairs with room for about two
+        # ladders; a lost update would leave the held total off the sum
+        s = parse("sin(z)")
+        fs = [f"1/({a}+z)" for a in range(2, 8)]
+        budget = 5 * counted_nodes(parse(fs[0]), s, 4) // 2
+        monkeypatch.setattr(composite, "LADDER_CACHE_NODES", budget)
+
+        def work(i):
+            for k in range(12):
+                cached_chain(parse(fs[(i + k) % 6]), s).entry(1 + k % 4)
+
+        with fast_switching(), ThreadPoolExecutor(8) as pool:
+            for future in [pool.submit(work, i) for i in range(8)]:
+                future.result(timeout=120)
+        held = list(ladders._chains.values())
+        assert held and all(chain._cache is ladders for chain in held)
+        assert ladders.nodes == sum(chain._nodes for chain in held) <= budget
+        for chain in held:
+            assert chain._nodes == counted_nodes(chain.f, s, len(chain) - 1)
+        info = ladder_cache_info()
+        assert info.hits + info.misses == 8 * 12
+
+    def test_entries_share_repeated_subtrees(self):
+        # each entry shares equal subtrees with itself and the entry before;
+        # its text and value stay those of the unshared recurrence
+        f, s = parse("1/(1+z)"), parse("sin(z)")
+        chain, prev, sprime = OperatorChain(f, s), f, simplify(differentiate(s))
+        for n in range(1, 7):
+            prev = simplify(divide(differentiate(prev), sprime))
+            assert repr(chain.entry(n)) == repr(prev)
+            assert repr(evaluate(chain.entry(n), 0.3)) == repr(evaluate(prev, 0.3))
+        assert 2 * distinct_nodes(chain.entry(6)) < tree_nodes(prev) == tree_nodes(chain.entry(6))
+
+    def test_sharing_keeps_constant_types_apart(self):
+        two = (const(2), const(2), const(2.0), const(0.0), const(-0.0))
+        shared = composite._shared(add(*two), {}, {})
+        assert repr(shared) == repr(add(*two))
+        first, again, *rest = shared.args
+        assert again is first
+        assert len({id(a) for a in shared.args}) == 4

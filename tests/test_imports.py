@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,22 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         funcseries.no_such_name  # noqa: B018
     assert not hasattr(funcseries, "no_such_name")
+
+
+def test_star_import_binds_the_public_names():
+    # __all__ names the six numpy-backed names too, so a star import loads numpy;
+    # importlib and the submodules stay out
+    code = ("import sys\n"
+            "from funcseries import *\n"
+            "import funcseries\n"
+            "names = {n for n in dir() if not n.startswith('_')} - {'sys', 'funcseries'}\n"
+            "assert names == set(funcseries.__all__), names ^ set(funcseries.__all__)\n"
+            "assert {'TruncatedSeries', 'teixeira_partial_sum', 'expand'} <= names\n"
+            "assert not names & {'importlib', 'composite', 'expr', 'series', 'remainder'}\n")
+    assert numpy_loaded(code) is True
+
+
+def test_all_lists_every_public_name():
+    public = {name for name, value in vars(funcseries).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public | set(funcseries._LAZY) == set(funcseries.__all__)

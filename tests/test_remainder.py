@@ -194,6 +194,27 @@ class TestComplexBound:
             complex_bound(exp, 0.5, MAX_ORDER)
         assert complex_bound(exp, 0.5, MAX_ORDER - 1).bound >= 0
 
+    def test_power_beyond_double_range_is_a_value_error(self):
+        # |s(z) - s0|^3 = 1e465 leaves double range; the bound names it
+        exp = expand_pair("sin(z)", "z", 0.0, 2)
+        with pytest.raises(ValueError, match=r"\|s\(z\) - s0\|\^3 = 1e\+155\^3 overflows"):
+            complex_bound(exp, 1e155, 2)
+        with pytest.raises(ValueError, match="overflows a float"):
+            lagrange_bound(exp, 1e155, 2)
+
+    def test_vanishing_entry_gives_zero_however_far_out(self):
+        # entry 4 of exp(2z) in exp(z) is identically 0; (e^300)^4 overflows
+        exp = expand_pair("exp(2*z)", "exp(z)", 0.0, 3)
+        assert complex_bound(exp, 300, 3).bound == 0.0
+        assert lagrange_bound(exp, 300, 3).bound == 0.0
+
+    def test_finite_bound_keeps_its_arithmetic(self):
+        exp = expand_pair("1/(1+z)", "sin(z)", 0.0, 3)
+        span = abs(evaluate(exp.s, 0.3) - exp.s0)
+        entry = abs(evaluate(exp.chain.entry(4), 0.0))
+        want = span ** 4 / math.factorial(4) * entry
+        assert complex_bound(exp, 0.3, 3).bound.hex() == want.hex()
+
     def test_serialization(self):
         exp = expand_pair("exp(z)", "z", 0.0, 2)
         d = complex_bound(exp, 0.5, 2).as_dict()
