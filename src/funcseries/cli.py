@@ -47,7 +47,7 @@ from .errors import (
     SingularAtExpansionPoint,
     SingularEvaluation,
 )
-from .expr import Expr, evaluator, parse
+from .expr import Expr, evaluate, evaluate_many, parse
 from .remainder import complex_bound, lagrange_bound, measured_error
 from .series import (
     CATALOG,
@@ -218,23 +218,36 @@ def cmd_expand(args) -> int:
     return 0
 
 
+def _values_or_blank(e: Expr, zs: list[float]) -> list[complex | None]:
+    """e at each point, None where it is singular."""
+    try:
+        return evaluate_many(e, zs)
+    except SingularEvaluation:
+        pass  # some points are singular: find them one by one
+    out = []
+    for z in zs:
+        try:
+            out.append(evaluate(e, z))
+        except SingularEvaluation:
+            out.append(None)
+    return out
+
+
 def cmd_plot(args) -> int:
     exp = _expansion_from(args)
     start, stop, count = args.grid
     step = (stop - start) / (count - 1)
-    f_at, s_at = evaluator(exp.f), evaluator(exp.s)
+    zs = [start + i * step for i in range(count)]
+    f_values, s_values = _values_or_blank(exp.f, zs), _values_or_blank(exp.s, zs)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["z", "f"] + [f"S{k}" for k in range(exp.order + 1)])
-    for i in range(count):
-        z = start + i * step
-        row = [_fmt_float(z)]
-        try:
-            row.append(_fmt_float(f_at(z).real))
-        except SingularEvaluation:
-            row.append("")
-        try:
-            u = s_at(z) - exp.s0
+    for z, f_at, s_at in zip(zs, f_values, s_values):
+        row = [_fmt_float(z), "" if f_at is None else _fmt_float(f_at.real)]
+        if s_at is None:
+            row += [""] * (exp.order + 1)
+        else:
+            u = s_at - exp.s0
             total = exp.coefficients[0]
             sums = [total]
             u_power = 1.0 + 0j
@@ -243,8 +256,6 @@ def cmd_plot(args) -> int:
                 total = total + c * u_power
                 sums.append(total)
             row += [_fmt_float(v.real) for v in sums]
-        except SingularEvaluation:
-            row += [""] * (exp.order + 1)
         writer.writerow(row)
     _emit(buffer.getvalue(), args.out)
     return 0

@@ -12,10 +12,8 @@ provides the five operations everything else is built on:
 * :func:`simplify` -- best-effort constant folding and identity
   elimination (idempotent, value-preserving);
 * :func:`evaluate` -- complex-number evaluation on the principal branch
-  of log / sqrt / non-integer powers, and :func:`evaluator`, which
-  compiles a tree once into a function giving the same values bit for
-  bit: use it when one tree is read at many points (quadrature nodes,
-  sample grids) and :func:`evaluate` for a single point;
+  of log / sqrt / non-integer powers at one point, and
+  :func:`evaluate_many`, the same bits at many points for one walk;
 * :func:`format_expr` -- minimal-parenthesis text such that
   ``parse(format_expr(e))`` is structurally equal to ``simplify(e)``.
 
@@ -32,9 +30,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from typing import Callable, Union
 
 from .errors import (
+    FuncSeriesError,
     MultipleVariables,
     ParseError,
     SingularEvaluation,
@@ -335,8 +336,10 @@ def _is_quotient(t: Expr) -> bool:
 def simplify(e: Expr) -> Expr:
     try:
         return _simplify(e)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # a constant over or under range
         raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
+    except RecursionError:
+        raise FuncSeriesError("expression nested too deeply to simplify") from None
 
 
 def _simplify(e: Expr) -> Expr:
@@ -767,29 +770,10 @@ def evaluate(e: Expr, at: complex) -> complex:
     intermediate, raises SingularEvaluation.  Non-finite inputs are
     rejected outright.
     """
-    return _at_point(lambda z: _eval(e, z), at)
-
-
-def evaluator(e: Expr) -> Callable[[complex], complex]:
-    """Compile the tree once into a function of the point.
-
-    ``evaluator(e)(at)`` gives what ``evaluate(e, at)`` gives, bit for
-    bit, or raises the same exception with the same message.  The tree
-    is walked here, once: constants are converted and integer
-    exponents read at compile time, and each node becomes a closure
-    doing ``_eval``'s operations in ``_eval``'s order.  Compiling costs
-    about two walks, so use this when one tree is read at many points
-    and :func:`evaluate` for one point.
-    """
-    run = _compile(e)
-    return lambda at: _at_point(run, at)
-
-
-def _at_point(run: Callable[[complex], complex], at: complex) -> complex:
     z = complex(at)
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {at!r}")
-    out = run(z)
+    out = _eval(e, z)
     if not cmath.isfinite(out):
         raise SingularEvaluation(f"non-finite value at z={z}")
     return out
@@ -840,74 +824,90 @@ def _eval(e: Expr, z: complex) -> complex:
     raise AssertionError(f"unreachable node kind {e.kind}")
 
 
-def _compile(e: Expr) -> Callable[[complex], complex]:
-    # one closure per node, mirroring the matching branch of _eval; a
-    # constant beyond double range runs _eval itself, so it raises when
-    # evaluated rather than when compiled
-    kind = e.kind
-    if kind == CONST:
+#: points evaluate_many runs each tape step over at once
+BLOCK = 256
+
+
+def evaluate_many(e: Expr, points: list) -> list[complex]:
+    """``[evaluate(e, z) for z in points]`` bit for bit, exceptions too.
+
+    The tree compiles once into a tape, one step per distinct node (by
+    identity), and each step runs over a block of at most BLOCK points.
+    A block where a check of evaluate could fire runs again point by
+    point through evaluate, which raises what it raises."""
+    tape = _tape(e)
+    out: list[complex] = []
+    for start in range(0, len(points), BLOCK):
+        block = points[start:start + BLOCK]
         try:
-            value = complex(e.value)
-        except OverflowError:
-            return lambda z: _eval(e, z)
-        return lambda z: value
-    if kind == VAR:
-        return lambda z: z
-    if kind == ADD:
-        terms = tuple(_compile(a) for a in e.args)
-        return lambda z: sum((t(z) for t in terms), complex(0))
-    if kind == NEGATE:
-        arg = _compile(e.args[0])
-        return lambda z: -arg(z)
-    if kind == MULTIPLY:
-        factors = tuple(_compile(a) for a in e.args)
+            values = [_finite([complex(p) for p in block])]
+            for step, dead in tape:
+                values.append(step(values))
+                for i in dead:
+                    values[i] = None
+            out += _finite(values[-1])
+        except (ArithmeticError, ValueError, TypeError):  # a check could fire
+            out += [evaluate(e, z) for z in block]
+    return out
 
-        def product(z):
-            out = complex(1)
-            for f in factors:
-                out *= f(z)
-            return out
-        return product
-    if kind == DIVIDE:
-        num, den = _compile(e.args[0]), _compile(e.args[1])
 
-        def quotient(z):
-            d = den(z)
-            if abs(d) < DIVISION_FLOOR:
-                raise SingularEvaluation(f"division by ~0 at z={z}")
-            return num(z) / d
-        return quotient
-    if kind == POWER:
-        base = _compile(e.args[0])
-        n = _int_exponent(e.args[1])
-        exponent = None if n is not None else _compile(e.args[1])
+def _tape(e: Expr) -> list[tuple[Callable, list[int]]]:
+    """Steps, one per distinct node, doing _eval's operations in its order; slot 0
+    holds the points and slot i what step i-1 gives, dropped after its last reader."""
+    steps: list[tuple[Callable, tuple[int, ...]]] = []
+    slots: dict[int, int] = {}
 
-        def raised(z):
-            b = base(z)
-            try:
-                if exponent is None:
-                    return b ** n
-                return _on_principal_branch(b) ** exponent(z)
-            except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                raise SingularEvaluation(f"power undefined at z={z}: {exc}") from exc
-        return raised
-    if kind == CALL:
-        arg, name, rule = _compile(e.args[0]), e.name, FUNCTIONS[e.name][0]
-        on_cut = name in ("log", "sqrt")
+    def emit(e: Expr, step: Callable, *inputs: int) -> int:
+        steps.append((step, inputs))
+        slots[id(e)] = len(steps)
+        return len(steps)
 
-        def applied(z):
-            u = arg(z)
-            if on_cut:
-                u = _on_principal_branch(u)
-            try:
-                out = rule(u)
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise SingularEvaluation(f"{name} undefined at z={z}: {exc}") from exc
-            if not cmath.isfinite(out):
-                raise SingularEvaluation(f"{name} non-finite at z={z}")
-            return out
-        return applied
-    raise AssertionError(f"unreachable node kind {kind}")
+    def slot(e: Expr) -> int:  # one frame per tree level, as deep as _eval goes
+        if e.kind == VAR or id(e) in slots:  # the variable's slot is 0
+            return slots.get(id(e), 0)
+        if e.kind == CONST:  # converted per block: one beyond double range fails it
+            return emit(e, lambda v: [complex(e.value)] * len(v[0]))
+        if e.kind == MULTIPLY:
+            fs = tuple(map(slot, e.args))
+            return emit(e, lambda v: reduce(lambda out, f: [p * x for p, x in zip(out, v[f])],
+                                            fs, [complex(1)] * len(v[0])), *fs)
+        if e.kind == DIVIDE:
+            d = slot(e.args[1])  # then its floor check (a nan min fails it), then num
+            steps.append((lambda v: _check(min(map(abs, v[d])) >= DIVISION_FLOOR), (d,)))
+            n = slot(e.args[0])
+            return emit(e, lambda v: [x / y for x, y in zip(v[n], v[d])], n, d)
+        a = slot(e.args[0])
+        if e.kind == POWER and (k := _int_exponent(e.args[1])) is not None:
+            return emit(e, lambda v: [x ** k for x in v[a]], a)
+        args = (a, *map(slot, e.args[1:]))
+        if e.kind == ADD:
+            return emit(e, lambda v: list(map(
+                sum, zip(*[v[t] for t in args]), repeat(complex(0)))), *args)
+        if e.kind == NEGATE:
+            return emit(e, lambda v: [-x for x in v[a]], a)
+        if e.kind == POWER:
+            return emit(e, lambda v: [x ** y for x, y in zip(
+                map(_on_principal_branch, v[a]), v[args[1]])], *args)
+        rule, pin = FUNCTIONS[e.name][0], e.name in ("log", "sqrt")
+        return emit(e, lambda v: _finite(list(map(
+            rule, map(_on_principal_branch, v[a]) if pin else v[a]))), a)
+
+    slot(e)
+    tape, read = [], set()
+    for step, inputs in reversed(steps):  # a slot dies at the last step reading it
+        tape.append((step, [i for i in set(inputs) - read if i]))
+        read.update(inputs)
+    return tape[::-1]
+
+
+def _check(ok: bool) -> None:
+    if not ok:
+        raise ArithmeticError("a check of evaluate could fire in this block")
+
+
+def _finite(values: list[complex]) -> list[complex]:
+    _check(all(map(cmath.isfinite, values)))
+    return values
 
 
 # --------------------------------------------------------------------------

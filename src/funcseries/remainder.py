@@ -10,10 +10,10 @@ N + 1 terms:
   must be monotone between z0 and z (checked by sampling the sign of
   the simplified s' the expansion's chain holds); the intermediate
   point is unknown, so the bound maximizes over a sampled grid, which
-  in principle can under-estimate.  s' and the entry are each compiled
-  once per call (``expr.evaluator``) and read at every grid point.  The
-  grid is built in plain Python with ``np.linspace``'s arithmetic, so
-  its points, and the bound, are bit for bit those of linspace without
+  in principle can under-estimate.  s' and the entry are each read at
+  every grid point in one ``expr.evaluate_many`` call.  The grid is
+  built in plain Python with ``np.linspace``'s arithmetic, so its
+  points, and the bound, are bit for bit those of linspace without
   loading numpy.  The sample count, at most MAX_SAMPLES, is recorded on
   the result.
 * :func:`complex_bound` -- bound for complex arguments treating the
@@ -22,8 +22,9 @@ N + 1 terms:
 
 Both bounds raise ValueError unless 0 <= N <= the expansion's order and
 N + 1 <= series.MAX_ORDER, beyond which (N+1)! no longer fits a float,
-and when |s(z) - s0|^(N+1) leaves double range; a ladder entry N + 1
-that is 0 there makes the bound 0 however far out z is.
+and when |s(z) - s0|^(N+1), or the bound itself, leaves double range;
+a ladder entry N + 1 that is 0 there makes the bound 0 however far out
+z is.
 
 All functions are pure over their inputs.  The bounds extend the ladder
 of the expansion's shared ``chain``, which is thread-safe, so one
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonMonotoneComposite
-from .expr import evaluate, evaluator
+from .expr import evaluate, evaluate_many
 from .series import MAX_ORDER, SeriesExpansion, partial_sum
 
 #: grid size used for monotonicity checking and the intermediate-point scan
@@ -95,10 +96,14 @@ def _mean_value_bound(span: float, upto: int, size: float) -> float:
     if size == 0:
         return 0.0
     try:
-        return span ** (upto + 1) / math.factorial(upto + 1) * size
+        bound = span ** (upto + 1) / math.factorial(upto + 1) * size
     except OverflowError:
         raise ValueError(f"|s(z) - s0|^{upto + 1} = {span:.6g}^{upto + 1} "
                          "overflows a float") from None
+    if not math.isfinite(bound):
+        raise ValueError(f"the bound {span:.6g}^{upto + 1}/{upto + 1}! * {size:.6g} "
+                         "overflows a float")
+    return bound
 
 
 def measured_error(exp: SeriesExpansion, z: complex, upto: int) -> RemainderEstimate:
@@ -124,17 +129,15 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
     if samples > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples")
 
-    grid = _linspace(exp.z0.real, z.real, samples)
+    grid = [complex(x) for x in _linspace(exp.z0.real, z.real, samples)]
     # monotonicity of s: sample s' and require one strict sign
-    slope = evaluator(exp.chain.sprime)
-    slopes = [slope(complex(x)).real for x in grid]
+    slopes = [v.real for v in evaluate_many(exp.chain.sprime, grid)]
     if not (all(v > 0 for v in slopes) or all(v < 0 for v in slopes)):
         raise NonMonotoneComposite(
             f"s' changes sign on [{exp.z0.real}, {z.real}] "
             f"({samples} samples)")
 
-    entry = evaluator(exp.chain.entry(upto + 1))
-    largest = max(abs(entry(complex(x))) for x in grid)
+    largest = max(map(abs, evaluate_many(exp.chain.entry(upto + 1), grid)))
     span = abs(evaluate(exp.s, z) - exp.s0)
     bound = _mean_value_bound(span, upto, largest)
     return RemainderEstimate(upto, bound, "real-lagrange", z, samples)

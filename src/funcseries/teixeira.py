@@ -19,10 +19,10 @@ The n = 0 coefficient falls outside those formulas; it is computed as
 f(a) when f is analytic at a and stays correct when f has poles inside
 the inner circle.
 
-Each integrand is compiled once per contour (``expr.evaluator``) and
-evaluated once per node: f, theta' and theta on c1 for A_0, f' on c1
-(with theta) for every A_n, and f' and theta on c2 for every B_n; the
-number of evaluations does not grow with the order.  The validity ring
+Each integrand is evaluated once per node, at all nodes of a contour in
+one ``expr.evaluate_many`` call: f, theta' and theta on c1 for A_0, f'
+on c1 (with theta) for every A_n, and f' and theta on c2 for every B_n;
+the number of evaluations does not grow with the order.  The validity ring
 is read from the same sweep: the smallest |theta| over the c1 nodes and
 the largest over the c2 nodes.  An inner contour whose largest |theta|
 is not below the outer contour's smallest leaves no ring; that raises
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
-from .expr import Expr, differentiate, evaluate, evaluator, sole_variable
+from .expr import Expr, differentiate, evaluate, evaluate_many, sole_variable
 
 #: |B_n| below this counts as an absent negative-power term
 NEGLIGIBLE_COEFFICIENT = 1e-9
@@ -113,14 +113,15 @@ class TeixeiraExpansion:
 
 
 def _values_on(e: Expr, zs: np.ndarray) -> np.ndarray:
-    value = evaluator(e)
-    out = np.empty(len(zs), dtype=np.complex128)
-    for i, z in enumerate(zs):
-        try:
-            out[i] = value(complex(z))
-        except SingularEvaluation as exc:
-            raise QuadratureSingularity(f"integrand at node {z}: {exc}") from exc
-    return out
+    try:
+        return np.array(evaluate_many(e, zs.tolist()), dtype=np.complex128)
+    except SingularEvaluation:
+        for z in zs:  # name the first singular node
+            try:
+                evaluate(e, complex(z))
+            except SingularEvaluation as exc:
+                raise QuadratureSingularity(f"integrand at node {z}: {exc}") from exc
+        raise
 
 
 def _contour_sum(integrand: np.ndarray, contour: str) -> complex:

@@ -74,6 +74,15 @@ class TestExpand:
         assert code == 4
         assert out == "" and "singular" in err.lower()
 
+    def test_tiny_constant_inner_derivative_exit_4(self, capsys):
+        # s' = 2^-600 meets a float constant in simplify and underflows
+        code, out, err = run_cli(
+            capsys, "expand", "--f", "0.5*exp(z)", "--s", "z/2^600", "--order", "2",
+            "--tol-deriv-zero", "1e-300")
+        assert code == 4 and out == ""
+        assert err == ("singularity: constant out of floating-point range: "
+                       "float division by zero\n")
+
     def test_deterministic_output(self, capsys):
         args = ("expand", "--f", "1/(1+z)", "--s", "sin(z)", "--order", "5")
         _, out1, _ = run_cli(capsys, *args)
@@ -187,6 +196,16 @@ class TestRemainder:
             "--z", "1e155")
         assert code == 1 and out == ""
         assert err == "error: |s(z) - s0|^3 = 1e+155^3 overflows a float\n"
+
+    def test_bound_product_beyond_double_range_is_an_error_line(self, capsys):
+        # 709^2 fits a float, but times max |exp| on [0, 709] it does not;
+        # a bound of inf would print as Infinity, which is not JSON
+        code, out, err = run_cli(
+            capsys, "remainder", "--f", "exp(z)", "--s", "z", "--order", "1",
+            "--z", "709")
+        assert code == 1 and out == ""
+        assert err.startswith("error: the bound 709^2/2! * ")
+        assert err.endswith(" overflows a float\n") and err.count("\n") == 1
 
     def test_vanishing_entry_bounds_are_zero_far_out(self, capsys):
         code, out, err = run_cli(

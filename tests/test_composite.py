@@ -19,7 +19,7 @@ from funcseries.composite import (
     ladder_cache_info,
     z_derivative_via_s,
 )
-from funcseries.errors import ConstantComposite, SingularEvaluation
+from funcseries.errors import ConstantComposite, FuncSeriesError, SingularEvaluation
 from funcseries.expr import (
     add,
     const,
@@ -158,6 +158,12 @@ class TestCompositeDerivative:
     def test_first_coefficient_of_rational_in_sine(self):
         got = composite_derivative(parse("1/(1+z)"), parse("sin(z)"), 1)
         assert evaluate(got, 0) == pytest.approx(-1.0, abs=1e-14)
+
+    def test_too_deep_a_ladder_is_a_funcseries_error(self):
+        # with s' = 2^-300 the entries nest past the interpreter stack in
+        # simplify; that is a FuncSeriesError (exit 1), not a RecursionError
+        with pytest.raises(FuncSeriesError, match="^expression nested too deeply to simplify$"):
+            composite_derivative(parse("0.5*exp(z)"), parse("z/2^300"), 6)
 
     @pytest.mark.parametrize("s_text", sorted(INNERS))
     @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import funcseries.expr as expr_module
 from funcseries import CATALOG
 from funcseries.composite import OperatorChain
 from funcseries.errors import (
@@ -27,7 +29,7 @@ from funcseries.expr import (
     const,
     differentiate,
     evaluate,
-    evaluator,
+    evaluate_many,
     format_expr,
     parse,
     simplify,
@@ -35,6 +37,8 @@ from funcseries.expr import (
     var,
     variables,
 )
+from funcseries.remainder import lagrange_bound
+from funcseries.series import ExpansionRequest, expand
 
 Z = var("z")
 
@@ -358,7 +362,7 @@ def _outcome(fn, *args):
 
 
 class TestEvaluator:
-    """The compiled evaluator against the reference walk, bit for bit."""
+    """evaluate_many against per-point evaluate, bit for bit."""
 
     #: 0, both sides of the log/sqrt cut on the negative reals, integer
     #: points where random trees put poles, a generic point, and a point
@@ -367,9 +371,13 @@ class TestEvaluator:
               0.5 + 0.25j, 1e-200j]
 
     def assert_same(self, e, points):
-        run = evaluator(e)
+        # every point alone, then all at once: the values, or what the
+        # first failing point raises
         for z in points:
-            assert _outcome(run, z) == _outcome(evaluate, e, z), (e, z)
+            assert _outcome(evaluate_many, e, [z]) == _outcome(
+                lambda: [evaluate(e, z)]), (e, z)
+        assert _outcome(evaluate_many, e, points) == _outcome(
+            lambda: [evaluate(e, z) for z in points]), e
 
     def test_random_trees_match_evaluate(self):
         rng = np.random.default_rng(20261019)
@@ -400,7 +408,76 @@ class TestEvaluator:
         # a constant beyond double range raises when evaluated, not when
         # compiled; a non-finite point is rejected before any node runs
         huge = parse("z*1" + "0" * 400)
-        run = evaluator(huge)
-        assert _outcome(run, 0.5)[0] is SingularEvaluation
+        assert _outcome(evaluate_many, huge, [0.5])[0] is SingularEvaluation
         self.assert_same(huge, [0.5])
+        self.assert_same(parse("z^1" + "0" * 400), [1.0, 0.0])  # never evaluated
         self.assert_same(parse("1/(1+z)"), [complex(math.nan, 0), math.inf])
+        self.assert_same(parse("1/(1+z)"), [0.5, 0.25, math.inf, 0.0])
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
+    def test_block_boundaries(self, count):
+        chain = OperatorChain(parse("1/(1+z)"), parse("sin(z)"))
+        points = [complex(x, 0.1 * x) for x in np.linspace(-0.5, 0.8, count)]
+        for e in (chain.entry(4), Z, const(2), parse("-z")):
+            bits = [(w.real.hex(), w.imag.hex()) for w in evaluate_many(e, points)]
+            assert bits == [(w.real.hex(), w.imag.hex())
+                            for w in (evaluate(e, z) for z in points)]
+
+    def test_failing_point_in_second_block(self):
+        # the first failing point wins, though the third block fails too
+        points = [0.001 * k for k in range(600)]
+        points[300], points[550] = 2.0, 1.5
+        e = parse("exp(z)/(z-2) + log(z-1.5)")
+        with pytest.raises(SingularEvaluation, match=r"^division by ~0 at z=\(2\+0j\)$"):
+            evaluate_many(e, points)
+        self.assert_same(e, points)
+        assert len(evaluate_many(e, points[:300])) == 300
+
+    def test_only_a_failing_block_runs_point_by_point(self, monkeypatch):
+        walked = []
+        reference = expr_module.evaluate
+
+        def counting(e, z):
+            walked.append(z)
+            return reference(e, z)
+
+        monkeypatch.setattr(expr_module, "evaluate", counting)
+        points = [0.001 * k for k in range(600)]
+        evaluate_many(OperatorChain(parse("1/(1+z)"), parse("sin(z)")).entry(4), points)
+        assert walked == []
+        points[300] = 2.0
+        with pytest.raises(SingularEvaluation):
+            evaluate_many(parse("exp(z)/(z-2)"), points)
+        assert walked == points[256:301]
+
+    def test_denominator_checked_before_numerator(self):
+        # at 0 the numerator fails too, but evaluate meets the zero
+        # denominator first
+        e = parse("log(z)/z")
+        with pytest.raises(SingularEvaluation, match=r"^division by ~0 at z=0j$"):
+            evaluate_many(e, [0.5, 0.0])
+        self.assert_same(e, [0.5, 0.0, 0.25])
+
+    def test_shared_subtrees_match_evaluate(self):
+        u = parse("sin(z) + 1/(z-1)")
+        e = Expr(DIVIDE, (Expr(MULTIPLY, (u, u, const(3))), Expr(ADD, (u, Z))))
+        self.assert_same(e, self.POINTS + [0.25j, 3.0])
+
+    def test_memory_is_bounded_by_the_block(self):
+        # entry 15 of 1/(1+z) in sin(z): 3362 tree nodes, 597 distinct.
+        # Only one block's values are alive at a time, so from 2 to 8
+        # blocks the peak grows by the per-point lists alone (about 110 B
+        # a point), where values for every point at once would take
+        # about 13 kB a point
+        exp = expand(ExpansionRequest(parse("1/(1+z)"), parse("sin(z)"), 0.0, 14))
+        exp.chain.entry(15)
+        peaks = []
+        for samples in (512, 2048):
+            tracemalloc.start()
+            try:
+                lagrange_bound(exp, 0.4, 14, samples=samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 8 * 2**20
+        assert peaks[1] - peaks[0] < 2**20

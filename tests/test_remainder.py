@@ -113,18 +113,14 @@ class TestLagrangeBound:
         # every grid point
         exp = expand_pair("1/(1+z)", "sin(z)", 0.0, 3)
         compiled, calls = [], []
-        real_evaluator = remainder.evaluator
+        real_evaluate_many = remainder.evaluate_many
 
-        def counting(e):
+        def counting(e, points):
             compiled.append(e)
-            value = real_evaluator(e)
+            calls.extend(points)
+            return real_evaluate_many(e, points)
 
-            def counted(z):
-                calls.append(z)
-                return value(z)
-            return counted
-
-        monkeypatch.setattr(remainder, "evaluator", counting)
+        monkeypatch.setattr(remainder, "evaluate_many", counting)
         lagrange_bound(exp, 0.4, 2, samples=48)
         assert compiled == [exp.chain.sprime, exp.chain.entry(3)]
         assert len(calls) == 2 * 48
@@ -201,6 +197,13 @@ class TestComplexBound:
             complex_bound(exp, 1e155, 2)
         with pytest.raises(ValueError, match="overflows a float"):
             lagrange_bound(exp, 1e155, 2)
+
+    def test_product_beyond_double_range_is_a_value_error(self):
+        # 709^2 / 2! fits a float, but times max |exp| on [0, 709] it does not
+        exp = expand_pair("exp(z)", "z", 0.0, 1)
+        with pytest.raises(ValueError, match=r"^the bound 709\^2/2! \* 8\.2\d+e\+307 overflows"):
+            lagrange_bound(exp, 709, 1)
+        assert complex_bound(exp, 709, 1).bound == 709.0 ** 2 / 2
 
     def test_vanishing_entry_gives_zero_however_far_out(self):
         # entry 4 of exp(2z) in exp(z) is identically 0; (e^300)^4 overflows

@@ -147,18 +147,14 @@ class TestQuadratureQuality:
         # theta for the inner ones, whatever the order; the validity ring
         # reuses theta
         compiled, calls = [], []
-        real_evaluator = teixeira.evaluator
+        real_evaluate_many = teixeira.evaluate_many
 
-        def counting(e):
+        def counting(e, points):
             compiled.append(e)
-            value = real_evaluator(e)
+            calls.extend(points)
+            return real_evaluate_many(e, points)
 
-            def counted(z):
-                calls.append(z)
-                return value(z)
-            return counted
-
-        monkeypatch.setattr(teixeira, "evaluator", counting)
+        monkeypatch.setattr(teixeira, "evaluate_many", counting)
         f, theta = parse("exp(z)/(2-sin(z))"), parse("z")
         teixeira_expand(f, theta, 0.0, UNIT, HALF, order)
         fprime, tprime = differentiate(f, "z"), differentiate(theta, "z")
