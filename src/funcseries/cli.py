@@ -20,9 +20,9 @@ oracle disagreement.  Output is deterministic for a fixed
 configuration: floats print as their shortest round-trip decimal and
 JSON key order is fixed.
 
-Only ``check`` and ``teixeira`` compute with numpy; they import the
-oracle and the quadrature module when they run, so ``expand``, ``plot``
-and ``remainder`` start without loading numpy.
+``check`` and ``teixeira`` import the numpy-backed oracle and quadrature
+modules, and ``plot`` the csv module, when they run, so ``expand``,
+``plot`` and ``remainder`` start without loading numpy.
 
 A config file of ``key=value`` lines (keys named like the long flags,
 e.g. ``order=6``) supplies defaults; explicit flags win.
@@ -31,8 +31,6 @@ e.g. ``order=6``) supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -234,6 +232,9 @@ def _values_or_blank(e: Expr, zs: list[float]) -> list[complex | None]:
 
 
 def cmd_plot(args) -> int:
+    import csv
+    import io
+
     exp = _expansion_from(args)
     start, stop, count = args.grid
     step = (stop - start) / (count - 1)

@@ -46,7 +46,7 @@ import threading
 from collections import OrderedDict
 from typing import NamedTuple
 
-from .errors import ConstantComposite
+from .errors import ConstantComposite, FuncSeriesError
 from .expr import (
     Expr,
     add,
@@ -203,7 +203,10 @@ def cached_chain(f: Expr, s: Expr) -> OperatorChain:
     Raises as OperatorChain does; a chain that failed to build is not
     cached.
     """
-    return _LADDERS.chain(f, s)
+    try:
+        return _LADDERS.chain(f, s)
+    except RecursionError:  # repr(f), the cache key, recurses once per level
+        raise FuncSeriesError("expression nested too deeply to expand") from None
 
 
 def ladder_cache_info() -> LadderCacheInfo:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -63,8 +62,36 @@ DIVISION_FLOOR = 1e-300
 MAX_FOLD_BITS = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class Expr:
+class Record:
+    """Frozen value type: equality, hash and repr over the fields a subclass
+    names in ``_fields``.  Assigning or deleting an attribute raises, so a
+    subclass's ``__init__`` stores its fields with ``vars(self).update``."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Expr(Record):
     """One node of an expression tree.
 
     ``kind`` selects the interpretation: constants carry ``value``
@@ -73,12 +100,34 @@ class Expr:
     nodes in ``args`` (n-ary for add/multiply, binary for
     divide/power, unary for negate and calls).  Nodes are slotted (no
     per-node ``__dict__``), which keeps the ladders a cache holds small.
+    ``__init__``, equality, the hash (of the field tuple, never cached)
+    and the repr (the ladder cache's key) are written out for speed.
     """
 
-    kind: str
-    args: tuple["Expr", ...] = ()
-    name: str = ""
-    value: Number | None = None
+    __slots__ = _fields = ("kind", "args", "name", "value")
+
+    def __init__(self, kind: str, args: tuple[Expr, ...] = (), name: str = "",
+                 value: Number | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.args, self.name, self.value)
+                    == (other.kind, other.args, other.name, other.value))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.args, self.name, self.value))
+
+    def __repr__(self):
+        return (f"Expr(kind={self.kind!r}, args={self.args!r}, "
+                f"name={self.name!r}, value={self.value!r})")
+
+    def __reduce__(self):
+        return Expr, (self.kind, self.args, self.name, self.value)
 
     def __add__(self, other):
         return Expr(ADD, (self, _coerce(other)))
@@ -236,23 +285,30 @@ def substitute(e: Expr, letter: str, replacement: Expr) -> Expr:
 
 def differentiate(e: Expr, letter: str = "z") -> Expr:
     """Symbolic derivative d e / d letter (unsimplified)."""
+    try:
+        return _differentiate(e, letter)
+    except RecursionError:
+        raise FuncSeriesError("expression nested too deeply to differentiate") from None
+
+
+def _differentiate(e: Expr, letter: str) -> Expr:
     if e.kind == CONST:
         return const(0)
     if e.kind == VAR:
         return const(1) if e.name == letter else const(0)
     if e.kind == ADD:
-        return add(*[differentiate(t, letter) for t in e.args])
+        return add(*[_differentiate(t, letter) for t in e.args])
     if e.kind == NEGATE:
-        return negate(differentiate(e.args[0], letter))
+        return negate(_differentiate(e.args[0], letter))
     if e.kind == MULTIPLY:
         terms = []
         for i, a in enumerate(e.args):
-            terms.append(multiply(*e.args[:i], differentiate(a, letter), *e.args[i + 1:]))
+            terms.append(multiply(*e.args[:i], _differentiate(a, letter), *e.args[i + 1:]))
         return add(*terms)
     if e.kind == DIVIDE:
         a, b = e.args
-        num = add(multiply(differentiate(a, letter), b),
-                  negate(multiply(a, differentiate(b, letter))))
+        num = add(multiply(_differentiate(a, letter), b),
+                  negate(multiply(a, _differentiate(b, letter))))
         return divide(num, power(b, const(2)))
     if e.kind == POWER:
         b, c = e.args
@@ -262,14 +318,14 @@ def differentiate(e: Expr, letter: str = "z") -> Expr:
                 cm1 = const(c.value - 1)
             else:
                 cm1 = add(c, const(-1))
-            return multiply(c, power(b, cm1), differentiate(b, letter))
+            return multiply(c, power(b, cm1), _differentiate(b, letter))
         # exponent depends on the variable: b^c = exp(c*log b)
-        inner = add(multiply(differentiate(c, letter), call("log", b)),
-                    divide(multiply(c, differentiate(b, letter)), b))
+        inner = add(multiply(_differentiate(c, letter), call("log", b)),
+                    divide(multiply(c, _differentiate(b, letter)), b))
         return multiply(power(b, c), inner)
     if e.kind == CALL:
         u = e.args[0]
-        return multiply(FUNCTIONS[e.name][1](u), differentiate(u, letter))
+        return multiply(FUNCTIONS[e.name][1](u), _differentiate(u, letter))
     raise AssertionError(f"unreachable node kind {e.kind}")
 
 
@@ -773,7 +829,10 @@ def evaluate(e: Expr, at: complex) -> complex:
     z = complex(at)
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {at!r}")
-    out = _eval(e, z)
+    try:
+        out = _eval(e, z)
+    except RecursionError:
+        raise FuncSeriesError("expression nested too deeply to evaluate") from None
     if not cmath.isfinite(out):
         raise SingularEvaluation(f"non-finite value at z={z}")
     return out

@@ -34,10 +34,9 @@ SeriesExpansion may be bounded from several threads at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonMonotoneComposite
-from .expr import evaluate, evaluate_many
+from .expr import Record, evaluate, evaluate_many
 from .series import MAX_ORDER, SeriesExpansion, partial_sum
 
 #: grid size used for monotonicity checking and the intermediate-point scan
@@ -47,19 +46,17 @@ DEFAULT_SAMPLES = 64
 MAX_SAMPLES = 2**16
 
 
-@dataclass(frozen=True)
-class RemainderEstimate:
-    """A truncation-error number: exact measurement or upper bound."""
+class RemainderEstimate(Record):
+    """A truncation-error number: exact measurement or upper bound
+    (``kind`` "measured", "real-lagrange" or "complex-theta")."""
 
-    order: int
-    bound: float
-    kind: str  # "measured" | "real-lagrange" | "complex-theta"
-    z: complex
-    samples: int | None = None
+    _fields = ("order", "bound", "kind", "z", "samples")
 
-    def __post_init__(self):
-        if self.bound < 0:
+    def __init__(self, order: int, bound: float, kind: str, z: complex,
+                 samples: int | None = None):
+        if bound < 0:
             raise ValueError("bound must be nonnegative")
+        vars(self).update(order=order, bound=bound, kind=kind, z=z, samples=samples)
 
     def as_dict(self) -> dict:
         return {

@@ -36,7 +36,6 @@ them, under the chain's own lock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .composite import OperatorChain, cached_chain
@@ -48,6 +47,7 @@ from .errors import (
 )
 from .expr import (
     Expr,
+    Record,
     evaluate,
     format_expr,
     substitute,
@@ -79,30 +79,25 @@ CATALOG: tuple[tuple[str, str, str, complex], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ExpansionRequest:
+class ExpansionRequest(Record):
     """Inputs for expand(): functions, point, order, and tolerances."""
 
-    f: Expr
-    s: Expr
-    z0: complex
-    order: int
-    termination_tol: float = TERMINATION_TOL
-    derivative_zero_tol: float = DERIVATIVE_ZERO_TOL
+    _fields = ("f", "s", "z0", "order", "termination_tol", "derivative_zero_tol")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, f: Expr, s: Expr, z0: complex, order: int,
+                 termination_tol: float = TERMINATION_TOL,
+                 derivative_zero_tol: float = DERIVATIVE_ZERO_TOL):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if self.order > MAX_ORDER:
+        if order > MAX_ORDER:
             raise ValueError(f"order must be <= {MAX_ORDER}")
-        if not (0 < self.termination_tol < math.inf
-                and 0 < self.derivative_zero_tol < math.inf):
+        if not (0 < termination_tol < math.inf and 0 < derivative_zero_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        object.__setattr__(self, "z0", complex(self.z0))
+        vars(self).update(f=f, s=s, z0=complex(z0), order=order, termination_tol=termination_tol,
+                          derivative_zero_tol=derivative_zero_tol)
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
+class SeriesExpansion(Record):
     """Result of an expansion.
 
     ``coefficients[n]`` multiplies (s(z) - s0)^n.  ``terminated_at`` is
@@ -110,15 +105,16 @@ class SeriesExpansion:
     tail vanished, else None.  ``chain`` is the operator chain of f and
     s, shared by every expansion of the pair and reused by the remainder
     bounds; it appends ladder entries on demand, safely from any thread.
+    It is left out of equality, the hash and the repr.
     """
 
-    f: Expr
-    s: Expr
-    z0: complex
-    s0: complex
-    coefficients: tuple[complex, ...]
-    terminated_at: int | None
-    chain: OperatorChain = field(repr=False, compare=False)
+    _fields = ("f", "s", "z0", "s0", "coefficients", "terminated_at")
+
+    def __init__(self, f: Expr, s: Expr, z0: complex, s0: complex,
+                 coefficients: tuple[complex, ...], terminated_at: int | None,
+                 chain: OperatorChain):
+        vars(self).update(f=f, s=s, z0=z0, s0=s0, coefficients=coefficients,
+                          terminated_at=terminated_at, chain=chain)
 
     @property
     def order(self) -> int:

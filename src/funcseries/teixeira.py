@@ -41,12 +41,11 @@ caller's responsibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
-from .expr import Expr, differentiate, evaluate, evaluate_many, sole_variable
+from .expr import Expr, Record, differentiate, evaluate, evaluate_many, sole_variable
 
 #: |B_n| below this counts as an absent negative-power term
 NEGLIGIBLE_COEFFICIENT = 1e-9
@@ -56,24 +55,22 @@ NEGLIGIBLE_COEFFICIENT = 1e-9
 MAX_POINTS = 2**16
 
 
-@dataclass(frozen=True)
-class ContourSpec:
+class ContourSpec(Record):
     """Circle used for quadrature: center, radius, and node count."""
 
-    center: complex
-    radius: float
-    points: int = 512
+    _fields = ("center", "radius", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        if not 0 < self.radius < math.inf:
+    def __init__(self, center: complex, radius: float, points: int = 512):
+        center = complex(center)
+        if not 0 < radius < math.inf:
             raise ValueError("radius must be positive and finite")
-        if self.points < 16:
+        if points < 16:
             raise ValueError("need at least 16 quadrature points")
-        if self.points > MAX_POINTS:
+        if points > MAX_POINTS:
             raise ValueError(f"at most {MAX_POINTS} quadrature points")
-        if self.points & (self.points - 1):
+        if points & (points - 1):
             raise ValueError("point count must be a power of two")
+        vars(self).update(center=center, radius=radius, points=points)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and the unit phases they sit at."""
@@ -88,18 +85,18 @@ class ContourSpec:
         }
 
 
-@dataclass(frozen=True)
-class TeixeiraExpansion:
+class TeixeiraExpansion(Record):
     """Two-sided expansion data plus the validity ring read at the nodes."""
 
-    zero_point: complex
-    theta: Expr
-    a_coefficients: tuple[complex, ...]
-    b_coefficients: tuple[complex, ...]
-    outer: ContourSpec
-    inner: ContourSpec | None
-    outer_theta_min: float
-    inner_theta_max: float
+    _fields = ("zero_point", "theta", "a_coefficients", "b_coefficients", "outer", "inner",
+               "outer_theta_min", "inner_theta_max")
+
+    def __init__(self, zero_point: complex, theta: Expr, a_coefficients: tuple[complex, ...],
+                 b_coefficients: tuple[complex, ...], outer: ContourSpec,
+                 inner: ContourSpec | None, outer_theta_min: float, inner_theta_max: float):
+        vars(self).update(zero_point=zero_point, theta=theta, a_coefficients=a_coefficients,
+                          b_coefficients=b_coefficients, outer=outer, inner=inner,
+                          outer_theta_min=outer_theta_min, inner_theta_max=inner_theta_max)
 
     def as_dict(self) -> dict:
         return {

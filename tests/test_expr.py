@@ -66,6 +66,18 @@ CORPUS = [
 RNG = np.random.default_rng(20240817)
 
 
+def nested(depth):
+    """z + 1 + ... + 1 as depth ADD nodes, each nested in the next."""
+    e = Z
+    for _ in range(depth):
+        e = Expr(ADD, (e, const(1)))
+    return e
+
+
+#: deeper than the interpreter stack reaches in any recursive walk of the tree
+TOO_DEEP = 2000
+
+
 def sample_points(n=16, radius=0.9):
     pts = RNG.uniform(-radius, radius, size=(n, 2))
     return [complex(a, b) for a, b in pts]
@@ -161,6 +173,31 @@ class TestEvaluate:
     def test_constant_beyond_double_range_is_singular(self):
         with pytest.raises(SingularEvaluation, match="floating-point range"):
             evaluate(parse("z*1" + "0" * 400), 0.5)
+
+
+class TestDeepTrees:
+    """A tree nested past the interpreter stack is a FuncSeriesError (exit 1),
+    never a bare RecursionError."""
+
+    def test_evaluate(self):
+        with pytest.raises(FuncSeriesError, match="^expression nested too deeply to evaluate$"):
+            evaluate(nested(TOO_DEEP), 0.5)
+
+    def test_differentiate(self):
+        with pytest.raises(FuncSeriesError,
+                           match="^expression nested too deeply to differentiate$"):
+            differentiate(nested(TOO_DEEP))
+
+    def test_expand(self):
+        for f, s in [(nested(TOO_DEEP), Z), (Z, nested(TOO_DEEP))]:
+            with pytest.raises(FuncSeriesError, match="^expression nested too deeply to expand$"):
+                expand(ExpansionRequest(f, s, 0.5, 2))
+
+    def test_moderate_depth_still_works(self):
+        e = nested(200)
+        assert evaluate(e, 0.5) == 200.5
+        assert simplify(differentiate(e)) == const(1)
+        assert expand(ExpansionRequest(e, Z, 0.5, 2)).coefficients == (200.5, 1, 0)
 
 
 class TestDifferentiate:

@@ -1,4 +1,5 @@
-"""Import boundary: numpy is loaded only by the code that computes with it."""
+"""Import boundary: numpy, csv and the modules dataclasses pulls in are
+loaded only by the code that needs them."""
 
 import importlib
 import os
@@ -22,28 +23,53 @@ RUN_CLI = ("import contextlib, io, sys\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    assert main(sys.argv[1:]) == 0\n")
 
+#: the modules the import tests look for
+WATCHED = ("numpy", "csv", "dataclasses", "inspect", "ast")
 
-def numpy_loaded(code: str, *argv: str) -> bool:
-    """Whether numpy is in sys.modules after a fresh interpreter runs code."""
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    """Which WATCHED modules are in sys.modules after a fresh interpreter runs code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", code + "print('numpy' in sys.modules)\n",
-                            *argv], capture_output=True, text=True, env=env, timeout=120)
+    report = f"print(*sorted(set({WATCHED!r}) & set(sys.modules)))\n"
+    child = subprocess.run([sys.executable, "-c", code + report, *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr
-    return {"True": True, "False": False}[child.stdout.strip()]
+    return set(child.stdout.split())
 
 
-@pytest.mark.parametrize("code,argv,loaded", [
-    ("import sys, funcseries\n", (), False),
-    ("import sys, funcseries.cli\n", (), False),
-    (RUN_CLI, ("expand", *PAIR), False),
-    (RUN_CLI, ("plot", *PAIR), False),
-    (RUN_CLI, ("remainder", *PAIR, "--z", "0.4"), False),
-    (RUN_CLI, ("check", *PAIR), True),
-    (RUN_CLI, ("teixeira", *PAIR), True),
-], ids=["package", "cli", "expand", "plot", "remainder", "check", "teixeira"])
-def test_numpy_loaded_only_where_used(code, argv, loaded):
-    assert numpy_loaded(code, *argv) is loaded
+#: (code, argv) of each fresh-interpreter case, by test id
+CASES = {
+    "package": ("import sys, funcseries\n", ()),
+    "cli": ("import sys, funcseries.cli\n", ()),
+    "expand": (RUN_CLI, ("expand", *PAIR)),
+    "plot": (RUN_CLI, ("plot", *PAIR)),
+    "remainder": (RUN_CLI, ("remainder", *PAIR, "--z", "0.4")),
+    "check": (RUN_CLI, ("check", *PAIR)),
+    "teixeira": (RUN_CLI, ("teixeira", *PAIR)),
+}
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """Case id -> the WATCHED modules it loads, one fresh interpreter per case."""
+    return {case: loaded_modules(code, *argv) for case, (code, argv) in CASES.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_numpy_loaded_only_where_used(loaded, case):
+    assert ("numpy" in loaded[case]) is (case in ("check", "teixeira"))
+
+
+@pytest.mark.parametrize("case", ["package", "cli", "expand", "plot", "remainder"])
+def test_numpy_free_paths_load_no_dataclasses(loaded, case):
+    # dataclasses imports inspect, which imports ast, dis and tokenize
+    assert not loaded[case] & {"dataclasses", "inspect", "ast"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_loaded_only_by_plot(loaded, case):
+    assert ("csv" in loaded[case]) is (case == "plot")
 
 
 @pytest.mark.parametrize("name,module", [
@@ -76,7 +102,7 @@ def test_star_import_binds_the_public_names():
             "assert names == set(funcseries.__all__), names ^ set(funcseries.__all__)\n"
             "assert {'TruncatedSeries', 'teixeira_partial_sum', 'expand'} <= names\n"
             "assert not names & {'importlib', 'composite', 'expr', 'series', 'remainder'}\n")
-    assert numpy_loaded(code) is True
+    assert "numpy" in loaded_modules(code)
 
 
 def test_all_lists_every_public_name():

@@ -1,6 +1,5 @@
 """Expansion engine: coefficients, termination, partial sums, inverse route."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -66,9 +65,9 @@ class TestExpand:
 
     def test_result_is_frozen(self):
         exp = expand_pair("exp(z)", "z", 0.0, 3)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             exp.coefficients = (1.0,)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             exp.chain = None
 
     def test_singular_function_at_point_rejected(self):
