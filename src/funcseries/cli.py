@@ -46,7 +46,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .expr import Expr, evaluate, evaluate_many, parse
-from .remainder import complex_bound, lagrange_bound, measured_error
+from .remainder import complex_bound, lagrange_bound, linspace, measured_error
 from .series import (
     CATALOG,
     DERIVATIVE_ZERO_TOL,
@@ -123,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="key=value file of flag defaults")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--f", required=True, help="function to expand")
-        p.add_argument("--s", required=True, help="inner function (theta for teixeira)")
+    def common(p, pair_required: bool):
+        p.add_argument("--f", required=pair_required, help="function to expand")
+        p.add_argument("--s", required=pair_required, help="inner function (theta for teixeira)")
         p.add_argument("--z0", type=_parse_complex, default=0j,
                        help="expansion point, real or re,im")
         p.add_argument("--order", type=int, default=6)
@@ -134,35 +134,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("expand", help="JSON coefficient report")
-    common(p)
+    common(p, True)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("plot", help="CSV of f and partial sums on a real grid")
-    common(p)
+    common(p, True)
     p.add_argument("--grid", type=_parse_grid, default=(-1.2, 1.2, 121),
                    help="real grid as start:stop:count")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("check", help="engine vs independent oracle")
-    p.add_argument("--f", default=None, help="single pair instead of the catalog")
-    p.add_argument("--s", default=None)
-    p.add_argument("--z0", type=_parse_complex, default=0j)
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--tol-termination", type=float, default=TERMINATION_TOL)
-    p.add_argument("--tol-deriv-zero", type=float, default=DERIVATIVE_ZERO_TOL)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("check", help="engine vs independent oracle, on the catalog or one pair")
+    common(p, False)
     p.add_argument("--corrupt", type=int, default=None, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, order=10)
 
     p = sub.add_parser("remainder", help="measured error and bounds at a point")
-    common(p)
+    common(p, True)
     p.add_argument("--z", type=_parse_complex, default=None, required=True,
                    help="evaluation point, real or re,im")
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=cmd_remainder)
 
     p = sub.add_parser("teixeira", help="two-sided contour coefficients")
-    common(p)
+    common(p, True)
     p.add_argument("--quadrature-points", type=int, default=512)
     p.add_argument("--contour", type=_parse_contour, action=_AppendContour, default=None,
                    help="center:radius; give at most twice: outer, then inner")
@@ -236,9 +230,7 @@ def cmd_plot(args) -> int:
     import io
 
     exp = _expansion_from(args)
-    start, stop, count = args.grid
-    step = (stop - start) / (count - 1)
-    zs = [start + i * step for i in range(count)]
+    zs = linspace(*args.grid)
     f_values, s_values = _values_or_blank(exp.f, zs), _values_or_blank(exp.s, zs)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -269,10 +261,7 @@ def cmd_check(args) -> int:
         raise ParseError("--s is required when --f is given", 0)
     if args.s is not None and args.f is None:
         raise ParseError("--f is required when --s is given", 0)
-    if args.f is not None:
-        pairs = [("user", args.f, args.s, args.z0)]
-    else:
-        pairs = list(CATALOG)
+    pairs = CATALOG if args.f is None else [("user", args.f, args.s, args.z0)]
 
     reports = []
     worst = 0.0
@@ -332,12 +321,10 @@ def cmd_teixeira(args) -> int:
     f = parse(args.f)
     theta = parse(args.s)
     contours = args.contour or [(complex(args.z0), 1.0)]
-    points = args.quadrature_points
-    outer = ContourSpec(contours[0][0], contours[0][1], points)
-    if len(contours) > 1:
-        inner = ContourSpec(contours[1][0], contours[1][1], points)
-    else:
-        inner = ContourSpec(outer.center, outer.radius / 2, points)
+    if len(contours) == 1:  # the default inner contour: half the outer radius
+        contours.append((contours[0][0], contours[0][1] / 2))
+    outer, inner = (ContourSpec(center, radius, args.quadrature_points)
+                    for center, radius in contours)
     tx = teixeira_expand(f, theta, args.z0, outer, inner, args.order)
     report = tx.as_dict()
     if args.x is not None:

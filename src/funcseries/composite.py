@@ -46,7 +46,7 @@ import threading
 from collections import OrderedDict
 from typing import NamedTuple
 
-from .errors import ConstantComposite, FuncSeriesError
+from .errors import ConstantComposite, nested_too_deeply
 from .expr import (
     Expr,
     add,
@@ -206,7 +206,7 @@ def cached_chain(f: Expr, s: Expr) -> OperatorChain:
     try:
         return _LADDERS.chain(f, s)
     except RecursionError:  # repr(f), the cache key, recurses once per level
-        raise FuncSeriesError("expression nested too deeply to expand") from None
+        raise nested_too_deeply("expand") from None
 
 
 def ladder_cache_info() -> LadderCacheInfo:

@@ -5,6 +5,11 @@ class FuncSeriesError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+def nested_too_deeply(verb: str) -> FuncSeriesError:
+    """What a recursive walk raises in place of a RecursionError on a too-deep tree."""
+    return FuncSeriesError(f"expression nested too deeply to {verb}")
+
+
 class ParseError(FuncSeriesError):
     """Input text does not conform to the expression grammar."""
 

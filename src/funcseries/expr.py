@@ -34,11 +34,11 @@ from itertools import repeat
 from typing import Callable, Union
 
 from .errors import (
-    FuncSeriesError,
     MultipleVariables,
     ParseError,
     SingularEvaluation,
     UnknownFunction,
+    nested_too_deeply,
 )
 
 Number = Union[int, float, complex, Fraction]
@@ -271,12 +271,17 @@ def sole_variable(*exprs: Expr, default: str = "z") -> str:
 
 def substitute(e: Expr, letter: str, replacement: Expr) -> Expr:
     """Replace every occurrence of the variable ``letter`` by ``replacement``."""
-    if e.kind == VAR:
-        return replacement if e.name == letter else e
-    if not e.args:
-        return e
-    return Expr(e.kind, tuple(substitute(a, letter, replacement) for a in e.args),
-                e.name, e.value)
+    def walk(e: Expr) -> Expr:
+        if e.kind == VAR:
+            return replacement if e.name == letter else e
+        if not e.args:
+            return e
+        return Expr(e.kind, tuple(walk(a) for a in e.args), e.name, e.value)
+
+    try:
+        return walk(e)
+    except RecursionError:
+        raise nested_too_deeply("substitute") from None
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +293,7 @@ def differentiate(e: Expr, letter: str = "z") -> Expr:
     try:
         return _differentiate(e, letter)
     except RecursionError:
-        raise FuncSeriesError("expression nested too deeply to differentiate") from None
+        raise nested_too_deeply("differentiate") from None
 
 
 def _differentiate(e: Expr, letter: str) -> Expr:
@@ -395,7 +400,7 @@ def simplify(e: Expr) -> Expr:
     except (OverflowError, ZeroDivisionError) as exc:  # a constant over or under range
         raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
     except RecursionError:
-        raise FuncSeriesError("expression nested too deeply to simplify") from None
+        raise nested_too_deeply("simplify") from None
 
 
 def _simplify(e: Expr) -> Expr:
@@ -832,7 +837,7 @@ def evaluate(e: Expr, at: complex) -> complex:
     try:
         out = _eval(e, z)
     except RecursionError:
-        raise FuncSeriesError("expression nested too deeply to evaluate") from None
+        raise nested_too_deeply("evaluate") from None
     if not cmath.isfinite(out):
         raise SingularEvaluation(f"non-finite value at z={z}")
     return out
@@ -894,7 +899,10 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
     identity), and each step runs over a block of at most BLOCK points.
     A block where a check of evaluate could fire runs again point by
     point through evaluate, which raises what it raises."""
-    tape = _tape(e)
+    try:
+        tape = _tape(e)
+    except RecursionError:
+        raise nested_too_deeply("evaluate") from None
     out: list[complex] = []
     for start in range(0, len(points), BLOCK):
         block = points[start:start + BLOCK]

@@ -323,13 +323,15 @@ def _jet(e: Expr, z0: complex, order: int) -> TruncatedSeries:
 # coefficient matching
 # --------------------------------------------------------------------------
 
+@np.errstate(all="ignore")  # a non-finite coefficient is rejected below
 def oracle_coefficients(f: Expr, s: Expr, z0: complex, order: int) -> list[complex]:
     """Expansion coefficients of f in powers of (s - s(z0)), by matching.
 
     Independent of the differentiation-based engine: both sides become
     jets at z0 and the triangular system is solved by forward
     substitution.  Raises LeadingCoefficientZero when the shifted inner
-    series has no linear term.
+    series has no linear term, and SingularAtExpansionPoint when a
+    coefficient leaves double range.
     """
     F = TruncatedSeries.from_expr(f, z0, order)
     S = TruncatedSeries.from_expr(s, z0, order)
@@ -347,14 +349,6 @@ def oracle_coefficients(f: Expr, s: Expr, z0: complex, order: int) -> list[compl
         residual -= c_n * power_of_u
         if n < order:
             power_of_u = _series_mul(power_of_u, u.coefficients, order)
+    if not all(map(cmath.isfinite, coeffs)):
+        raise SingularAtExpansionPoint(f"oracle coefficients at z0={z0} leave double range")
     return coeffs
-
-
-def reconstruct(coeffs: list[complex], s: Expr, z0: complex, order: int) -> TruncatedSeries:
-    """Rebuild sum_n c_n * u^n as a jet; inverse of oracle_coefficients."""
-    S = TruncatedSeries.from_expr(s, z0, order)
-    u = S.shift_to_zero()
-    out = TruncatedSeries.constant(0.0, order)
-    for c_n in reversed(coeffs):
-        out = out * u + c_n
-    return out

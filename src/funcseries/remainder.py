@@ -11,11 +11,10 @@ N + 1 terms:
   the simplified s' the expansion's chain holds); the intermediate
   point is unknown, so the bound maximizes over a sampled grid, which
   in principle can under-estimate.  s' and the entry are each read at
-  every grid point in one ``expr.evaluate_many`` call.  The grid is
-  built in plain Python with ``np.linspace``'s arithmetic, so its
-  points, and the bound, are bit for bit those of linspace without
-  loading numpy.  The sample count, at most MAX_SAMPLES, is recorded on
-  the result.
+  every grid point in one ``expr.evaluate_many`` call.  The grid comes
+  from :func:`linspace`, which ``plot`` shares: ``np.linspace``'s points
+  bit for bit, ending exactly at z, without loading numpy.  The sample
+  count, at most MAX_SAMPLES, is recorded on the result.
 * :func:`complex_bound` -- bound for complex arguments treating the
   unknown mean-value rotation adversarially inside its unit disk, which
   makes it |s(z) - s0|^(N+1)/(N+1)! times |ladder entry N+1 at z0|.
@@ -37,7 +36,7 @@ import math
 
 from .errors import NonMonotoneComposite
 from .expr import Record, evaluate, evaluate_many
-from .series import MAX_ORDER, SeriesExpansion, partial_sum
+from .series import MAX_ORDER, SeriesExpansion, check_upto, partial_sum
 
 #: grid size used for monotonicity checking and the intermediate-point scan
 DEFAULT_SAMPLES = 64
@@ -69,13 +68,12 @@ class RemainderEstimate(Record):
 
 
 def _check_upto(exp: SeriesExpansion, upto: int) -> None:
-    if not 0 <= upto <= exp.order:
-        raise ValueError(f"upto must be in [0, {exp.order}]")
+    check_upto(upto, exp.order)
     if upto + 1 > MAX_ORDER:
         raise ValueError(f"bounds need upto < {MAX_ORDER}: (upto + 1)! must fit a float")
 
 
-def _linspace(start: float, stop: float, n: int) -> list[float]:
+def linspace(start: float, stop: float, n: int) -> list[float]:
     """The n >= 2 points of ``np.linspace(start, stop, n)``, bit for bit."""
     div = n - 1
     delta = stop - start
@@ -126,7 +124,7 @@ def lagrange_bound(exp: SeriesExpansion, z: float, upto: int,
     if samples > MAX_SAMPLES:
         raise ValueError(f"at most {MAX_SAMPLES} samples")
 
-    grid = [complex(x) for x in _linspace(exp.z0.real, z.real, samples)]
+    grid = [complex(x) for x in linspace(exp.z0.real, z.real, samples)]
     # monotonicity of s: sample s' and require one strict sign
     slopes = [v.real for v in evaluate_many(exp.chain.sprime, grid)]
     if not (all(v > 0 for v in slopes) or all(v < 0 for v in slopes)):

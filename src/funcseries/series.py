@@ -165,16 +165,25 @@ def expand(req: ExpansionRequest) -> SeriesExpansion:
                            terminated, chain)
 
 
+def check_upto(upto: int, order: int) -> None:
+    """Raise ValueError unless a sum or bound over terms 0..upto fits the order."""
+    if not 0 <= upto <= order:
+        raise ValueError(f"upto must be in [0, {order}]")
+
+
+def horner(coefficients, u: complex, upto: int) -> complex:
+    """Sum of coefficients[n] * u^n for n = 0..upto, by Horner's rule."""
+    total = 0j
+    for c in reversed(coefficients[: upto + 1]):
+        total = total * u + c
+    return total
+
+
 def partial_sum(exp: SeriesExpansion, z: complex, upto: int | None = None) -> complex:
     """Sum of c_n (s(z) - s0)^n for n = 0..upto (defaults to the full order)."""
     upto = exp.order if upto is None else upto
-    if not 0 <= upto <= exp.order:
-        raise ValueError(f"upto must be in [0, {exp.order}]")
-    u = evaluate(exp.s, z) - exp.s0
-    total = 0j
-    for c in reversed(exp.coefficients[: upto + 1]):
-        total = total * u + c
-    return total
+    check_upto(upto, exp.order)
+    return horner(exp.coefficients, evaluate(exp.s, z) - exp.s0, upto)
 
 
 def detect_termination(coefficients, tol: float = TERMINATION_TOL) -> int | None:

@@ -22,13 +22,15 @@ the inner circle.
 Each integrand is evaluated once per node, at all nodes of a contour in
 one ``expr.evaluate_many`` call: f, theta' and theta on c1 for A_0, f'
 on c1 (with theta) for every A_n, and f' and theta on c2 for every B_n;
-the number of evaluations does not grow with the order.  The validity ring
-is read from the same sweep: the smallest |theta| over the c1 nodes and
-the largest over the c2 nodes.  An inner contour whose largest |theta|
-is not below the outer contour's smallest leaves no ring; that raises
-AnnulusViolation when some B_n is not negligible, while a purely
-positive expansion (a nonlinear theta can make the ranges overlap)
-stays usable.
+the number of evaluations does not grow with the order.  A singular
+node fails that one call, and its error, naming the node, is raised as
+QuadratureSingularity, as is a sum that leaves double range.  The
+validity ring is read from the same sweep: the smallest |theta| over
+the c1 nodes and the largest over the c2 nodes.  An inner contour whose
+largest |theta| is not below the outer contour's smallest leaves no
+ring; that raises AnnulusViolation when some B_n is not negligible,
+while a purely positive expansion (a nonlinear theta can make the
+ranges overlap) stays usable.
 
 This module is the classical cross-check for the expansion engine:
 with theta(z) = z - z0 the A_n must match the engine's coefficients
@@ -40,12 +42,14 @@ caller's responsibility.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
 from .expr import Expr, Record, differentiate, evaluate, evaluate_many, sole_variable
+from .series import check_upto, horner
 
 #: |B_n| below this counts as an absent negative-power term
 NEGLIGIBLE_COEFFICIENT = 1e-9
@@ -62,8 +66,12 @@ class ContourSpec(Record):
 
     def __init__(self, center: complex, radius: float, points: int = 512):
         center = complex(center)
+        if not cmath.isfinite(center):
+            raise ValueError(f"contour center must be finite, got {center}")
         if not 0 < radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        if not math.isfinite(abs(center) + radius):
+            raise ValueError("contour leaves double range: |center| + radius overflows")
         if points < 16:
             raise ValueError("need at least 16 quadrature points")
         if points > MAX_POINTS:
@@ -112,22 +120,18 @@ class TeixeiraExpansion(Record):
 def _values_on(e: Expr, zs: np.ndarray) -> np.ndarray:
     try:
         return np.array(evaluate_many(e, zs.tolist()), dtype=np.complex128)
-    except SingularEvaluation:
-        for z in zs:  # name the first singular node
-            try:
-                evaluate(e, complex(z))
-            except SingularEvaluation as exc:
-                raise QuadratureSingularity(f"integrand at node {z}: {exc}") from exc
-        raise
+    except SingularEvaluation as exc:  # evaluate's own error for the first singular node
+        raise QuadratureSingularity(f"integrand at a quadrature node: {exc}") from exc
 
 
-def _contour_sum(integrand: np.ndarray, contour: str) -> complex:
-    if not np.all(np.isfinite(integrand)):
-        raise QuadratureSingularity(f"non-finite integrand on the {contour} contour")
-    # cumulative sum fixes the summation order
-    return complex(integrand.cumsum()[-1])
+def _contour_sum(scale: float, integrand: np.ndarray, contour: str) -> complex:
+    total = scale * complex(integrand.cumsum()[-1])  # cumulative sum fixes the summation order
+    if not (np.all(np.isfinite(integrand)) and cmath.isfinite(total)):
+        raise QuadratureSingularity(f"non-finite integrand or sum on the {contour} contour")
+    return total
 
 
+@np.errstate(all="ignore")  # every non-finite value meets _contour_sum's check, not a warning
 def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
                     outer: ContourSpec, inner: ContourSpec | None,
                     order: int) -> TeixeiraExpansion:
@@ -142,13 +146,12 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
     outer_min = float(np.abs(th).min())
     if outer_min < 1e-300:
         raise QuadratureSingularity("theta vanishes on the outer contour")
-    a = [outer.radius / outer.points * _contour_sum(fv * tp * phase / th, "outer")]
+    a = [_contour_sum(outer.radius / outer.points, fv * tp * phase / th, "outer")]
     if order:  # A_0 alone needs no f'
         fprime = differentiate(f, letter)
         weighted = _values_on(fprime, zs) * phase
         for n in range(1, order + 1):
-            a.append(outer.radius / (n * outer.points)
-                     * _contour_sum(weighted / th**n, "outer"))
+            a.append(_contour_sum(outer.radius / (n * outer.points), weighted / th**n, "outer"))
     b = []
     inner_max = 0.0
     if inner is not None:
@@ -158,8 +161,8 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
         if order:
             weighted = _values_on(fprime, zs) * phase
             for n in range(1, order + 1):
-                b.append(-inner.radius / (n * inner.points)
-                         * _contour_sum(weighted * th**n, "inner"))
+                b.append(_contour_sum(-inner.radius / (n * inner.points),
+                                      weighted * th**n, "inner"))
         # an empty ring only matters when there is a negative-power part:
         # with every B_n negligible the expansion is purely positive
         if inner_max >= outer_min and any(abs(c) > NEGLIGIBLE_COEFFICIENT
@@ -180,9 +183,7 @@ def teixeira_partial_sum(tx: TeixeiraExpansion, x: complex, upto: int) -> comple
     dropped, so purely positive expansions remain usable where theta
     vanishes.
     """
-    order = len(tx.a_coefficients) - 1
-    if not 0 <= upto <= order:
-        raise ValueError(f"upto must be in [0, {order}]")
+    check_upto(upto, len(tx.a_coefficients) - 1)
     x = complex(x)
     tv = evaluate(tx.theta, x)
     size = abs(tv)
@@ -191,10 +192,7 @@ def teixeira_partial_sum(tx: TeixeiraExpansion, x: complex, upto: int) -> comple
             f"|theta(x)| = {size:.6g} >= {tx.outer_theta_min:.6g}, the smallest "
             f"|theta| sampled on the outer contour")
 
-    total = 0j
-    for c in reversed(tx.a_coefficients[: upto + 1]):
-        total = total * tv + c
-
+    total = horner(tx.a_coefficients, tv, upto)
     significant = [(n, c) for n, c in enumerate(tx.b_coefficients[:upto], start=1)
                    if abs(c) > NEGLIGIBLE_COEFFICIENT]
     if significant:

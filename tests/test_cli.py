@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from funcseries.cli import main
+from funcseries.expr import parse
+from funcseries.series import ExpansionRequest, expand
 
 #: sha256 of the stdout of each benchmark CLI call, keyed by its arguments
 CLI_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
@@ -83,6 +85,14 @@ class TestExpand:
         assert err == ("singularity: constant out of floating-point range: "
                        "float division by zero\n")
 
+    def test_complex_z0_matches_library(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "--f", "exp(z)", "--s", "z", "--z0", "0.1,0.2")
+        assert code == 0
+        report = json.loads(out)
+        want = expand(ExpansionRequest(parse("exp(z)"), parse("z"), 0.1 + 0.2j, 6))
+        assert report["z0"] == [0.1, 0.2]
+        assert report["coefficients"] == want.as_dict()["coefficients"]
+
     def test_deterministic_output(self, capsys):
         args = ("expand", "--f", "1/(1+z)", "--s", "sin(z)", "--order", "5")
         _, out1, _ = run_cli(capsys, *args)
@@ -125,6 +135,21 @@ class TestPlot:
         singular = [r for r in rows[1:] if float(r[0]) == -1.0]
         assert singular and singular[0][1] == ""
         assert singular[0][2] != ""
+
+    def test_singular_inner_function_leaves_partial_sums_empty(self, capsys):
+        code, out, _ = run_cli(capsys, "plot", "--f", "exp(z)", "--s", "1/z", "--z0", "1",
+                               "--order", "2", "--grid=-1:1:3")
+        assert code == 0
+        rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(out))}
+        assert rows["0.0"][0] == "1.0" and rows["0.0"][1:] == ["", "", ""]
+        assert all(rows["-1.0"]) and all(rows["1.0"])
+
+    def test_grid_ends_exactly_at_stop(self, capsys):
+        code, out, _ = run_cli(capsys, "plot", "--f", "exp(z)", "--s", "z", "--order", "1",
+                               "--grid=0.2:0.9:8")
+        assert code == 0
+        zs = [row[0] for row in csv.reader(io.StringIO(out))][1:]
+        assert len(zs) == 8 and zs[0] == "0.2" and zs[-1] == "0.9"
 
     def test_order_zero_column_is_constant(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
@@ -207,6 +232,14 @@ class TestRemainder:
         assert err.startswith("error: the bound 709^2/2! * ")
         assert err.endswith(" overflows a float\n") and err.count("\n") == 1
 
+    def test_non_monotone_inner_function_skips_lagrange(self, capsys):
+        code, out, err = run_cli(capsys, "remainder", "--f", "exp(z)", "--s", "z^2",
+                                 "--z0", "-0.5", "--z", "0.5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["estimates"][-1] == {
+            "kind": "real-lagrange", "order": 6, "z": [0.5, 0.0], "bound": None,
+            "skipped": "s' changes sign on [-0.5, 0.5] (64 samples)"}
+
     def test_vanishing_entry_bounds_are_zero_far_out(self, capsys):
         code, out, err = run_cli(
             capsys, "remainder", "--f", "exp(2*z)", "--s", "exp(z)", "--order", "3",
@@ -253,6 +286,14 @@ class TestConfigFile:
         assert len(report["coefficients"]) == 5  # flag overrode config order
         assert report["s"] == "z"
 
+    def test_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# one pair\n\nf = exp(z)\n   \ns=z\n# order=9\norder=2\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "expand")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["coefficients"]) == 3 and report["f"] == "exp(z)"
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
@@ -273,6 +314,7 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @pytest.mark.parametrize("argv,message", [
         (("expand", "--f", "exp(2*z)", "--s", "exp(z)", "--order", "6",
           "--tol-termination", "nan"), "tolerances must be positive and finite"),
@@ -280,6 +322,10 @@ class TestInputErrors:
           "--tol-deriv-zero", "nan"), "tolerances must be positive and finite"),
         (("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "0:nan"),
          "radius must be positive and finite"),
+        (("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "nan:1"),
+         "contour center must be finite, got (nan+0j)"),
+        (("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "1e308:1e308"),
+         "contour leaves double range: |center| + radius overflows"),
     ])
     def test_non_finite_tolerance_or_radius_exits_1(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -318,6 +364,19 @@ class TestInputErrors:
         line = usage_error(capsys, "plot", "--f", "exp(z)", "--s", "z", f"--grid={grid}")
         assert line == f"funcseries plot: error: argument --grid: {message}"
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0:1", "grid must be start:stop:count"),
+        ("0:1:1", "grid count must be >= 2"),
+    ])
+    def test_plot_grid_malformed_is_usage_error(self, capsys, grid, message):
+        line = usage_error(capsys, "plot", "--f", "exp(z)", "--s", "z", f"--grid={grid}")
+        assert line == f"funcseries plot: error: argument --grid: {message}"
+
+    def test_contour_without_colon_is_usage_error(self, capsys):
+        line = usage_error(capsys, "teixeira", "--f", "exp(z)", "--s", "z", "--contour", "1")
+        assert line == ("funcseries teixeira: error: argument --contour: "
+                        "contour must be center:radius")
+
     def test_third_contour_is_usage_error(self, capsys):
         line = usage_error(capsys, "teixeira", "--f", "1/z + exp(z)", "--s", "z",
                            "--contour", "0:1", "--contour", "0:0.5", "--contour", "0:0.2")
@@ -352,6 +411,18 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "check", "--s", "sin(z)", "--order", "2")
         assert (code, out) == (2, "")
         assert err == "parse error: --f is required when --s is given (at position 0)\n"
+
+    def test_check_f_without_s_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--f", "exp(z)", "--order", "2")
+        assert (code, out) == (2, "")
+        assert err == "parse error: --s is required when --f is given (at position 0)\n"
+
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "expand", "--f", "exp(z)", "--s", "z",
+                                 "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
 
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

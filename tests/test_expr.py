@@ -193,6 +193,14 @@ class TestDeepTrees:
             with pytest.raises(FuncSeriesError, match="^expression nested too deeply to expand$"):
                 expand(ExpansionRequest(f, s, 0.5, 2))
 
+    def test_substitute(self):
+        with pytest.raises(FuncSeriesError, match="^expression nested too deeply to substitute$"):
+            substitute(nested(TOO_DEEP), "z", const(2))
+
+    def test_evaluate_many(self):
+        with pytest.raises(FuncSeriesError, match="^expression nested too deeply to evaluate$"):
+            evaluate_many(nested(TOO_DEEP), [0.5, 0.25])
+
     def test_moderate_depth_still_works(self):
         e = nested(200)
         assert evaluate(e, 0.5) == 200.5

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from funcseries import CATALOG
 from funcseries.errors import (
     CompositionOffsetNonzero,
     DivisionBySingularSeries,
@@ -14,7 +13,6 @@ from funcseries.expr import differentiate, evaluate, parse, simplify
 from funcseries.oracle import (
     TruncatedSeries,
     oracle_coefficients,
-    reconstruct,
 )
 
 RNG = np.random.default_rng(1123)
@@ -137,15 +135,3 @@ class TestOracleCoefficients:
     def test_zero_linear_term_rejected(self):
         with pytest.raises(LeadingCoefficientZero):
             oracle_coefficients(parse("exp(z)"), parse("z^2"), 0.0, 3)
-
-    @pytest.mark.parametrize("label,f_text,s_text,z0", CATALOG)
-    def test_reconstruction_round_trip(self, label, f_text, s_text, z0):
-        # rebuilding sum c_n u^n must reproduce the jet of f
-        f, s = parse(f_text), parse(s_text)
-        order = 10
-        c = oracle_coefficients(f, s, z0, order)
-        rebuilt = reconstruct(c, s, z0, order)
-        want = TruncatedSeries.from_expr(f, z0, order).coefficients
-        got = rebuilt.coefficients
-        scale = np.max(np.abs(want))
-        np.testing.assert_allclose(got, want, atol=1e-11 * max(1.0, scale))

@@ -134,7 +134,7 @@ class TestLagrangeBound:
         # subnormal spans: the step underflows to 0 and linspace scales i/div
         ends += [(0.0, 5e-324), (1e-310, 1e-310 + 5e-324), (5e-324, -5e-324)]
         for start, stop in ends:
-            got = remainder._linspace(start, stop, n)
+            got = remainder.linspace(start, stop, n)
             want = np.linspace(start, stop, n).tolist()
             assert [x.hex() for x in got] == [x.hex() for x in want], (start, stop, n)
 
