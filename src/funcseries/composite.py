@@ -24,7 +24,11 @@ and ``0.0`` with ``-0.0``, whose ladders print differently).  It keeps
 whole ladders in least-recently-used order while they hold at most
 :data:`LADDER_CACHE_NODES` nodes; a ladder that alone holds more is not
 kept.  Only built chains are cached, so a failed build is tried again
-on the next call.  :func:`ladder_cache_info` reads its counters.
+on the next call.  :func:`ladder_cache_info` reads its counters.  The
+budget, about 2.4 MB, is sized on the repeat traffic of the benchmark's
+``bounds-eval`` workload (``BENCH_ladder_cache.json``): a larger one
+would raise its hit rate further but its peak memory by more than 5%,
+and traffic that never repeats a pair gains nothing from it.
 
 The reverse direction, :func:`z_derivative_via_s`, produces the n'th
 z-derivative of k(s(z)) from an expression for k in the s-variable by
@@ -62,7 +66,7 @@ from .expr import (
 
 #: most nodes the chain cache keeps over all its ladders, each counted
 #: where it first appears (about 150 bytes each with its args and value)
-LADDER_CACHE_NODES = 8_000
+LADDER_CACHE_NODES = 16_000
 
 
 class OperatorChain:

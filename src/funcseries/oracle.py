@@ -44,6 +44,7 @@ from .errors import (
     DivisionBySingularSeries,
     LeadingCoefficientZero,
     SingularAtExpansionPoint,
+    nested_too_deeply,
 )
 from .expr import (
     ADD,
@@ -142,6 +143,8 @@ class TruncatedSeries:
             return _jet(e, complex(z0), order)
         except (DivisionBySingularSeries, CompositionOffsetNonzero) as exc:
             raise SingularAtExpansionPoint(f"jet of {e} at {z0}: {exc}") from exc
+        except RecursionError:
+            raise nested_too_deeply("build a jet") from None
 
     # -- arithmetic ---------------------------------------------------------
 

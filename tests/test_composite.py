@@ -1,10 +1,12 @@
 """Iterated composite-derivative operator, its shared cache and the reverse direction."""
 
 import contextlib
+import gc
 import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -340,6 +342,25 @@ class TestLadderCache:
         assert info.nodes <= composite.LADDER_CACHE_NODES
         assert cached_chain(parse("1/(2+z)"), s) is a
         assert cached_chain(parse("1/(3+z)"), s) is not b  # b was least recent
+
+    def test_a_counted_node_costs_at_most_200_bytes(self, ladders):
+        # LADDER_CACHE_NODES is a memory budget only through this figure
+        # (README quotes it in MB): a change to the node layout must
+        # revisit the budget rather than silently move its cost
+        tracemalloc.start()
+        try:
+            for _, f_text, s_text, _ in CATALOG:
+                cached_chain(parse(f_text), parse(s_text)).entry(10)
+            nodes = ladder_cache_info().nodes
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            ladders._chains.clear()
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert nodes == 1962
+        assert 0 < freed / nodes <= 200
 
     def test_ladder_larger_than_the_budget_is_not_kept(self, ladders, monkeypatch):
         s = parse("sin(z)")

@@ -6,10 +6,11 @@ import pytest
 from funcseries.errors import (
     CompositionOffsetNonzero,
     DivisionBySingularSeries,
+    FuncSeriesError,
     LeadingCoefficientZero,
     SingularAtExpansionPoint,
 )
-from funcseries.expr import differentiate, evaluate, parse, simplify
+from funcseries.expr import ADD, Expr, const, differentiate, evaluate, parse, simplify, var
 from funcseries.oracle import (
     TruncatedSeries,
     oracle_coefficients,
@@ -115,6 +116,16 @@ class TestArithmetic:
 
 
 class TestOracleCoefficients:
+    def test_too_deep_a_tree_is_a_funcseries_error(self):
+        # z + 1 + ... + 1 nested past the interpreter stack
+        deep = var("z")
+        for _ in range(2000):
+            deep = Expr(ADD, (deep, const(1)))
+        for f, s in [(deep, var("z")), (var("z"), deep)]:
+            with pytest.raises(FuncSeriesError,
+                               match="^expression nested too deeply to build a jet$"):
+                oracle_coefficients(f, s, 0.5, 2)
+
     def test_rational_in_sine(self):
         c = oracle_coefficients(parse("1/(1+z)"), parse("sin(z)"), 0.0, 3)
         np.testing.assert_allclose(c, [1, -1, 1, -7 / 6], atol=1e-13)
