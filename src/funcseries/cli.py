@@ -24,6 +24,13 @@ JSON key order is fixed.
 modules, and ``plot`` the csv module, when they run, so ``expand``,
 ``plot`` and ``remainder`` start without loading numpy.
 
+A catalog ``check`` (no ``--f``/``--s``; each pair at its own point, so
+``--z0`` is ignored) builds its pairs' ladders in up to one forked worker
+process per CPU while this process imports numpy; stdout, stderr and
+the exit code are byte for byte those of building them one after
+another, which it does on one CPU, for a single pair, or when other
+threads are running.  No option selects this.
+
 A config file of ``key=value`` lines (keys named like the long flags,
 e.g. ``order=6``) supplies defaults; explicit flags win.
 """
@@ -31,9 +38,12 @@ e.g. ``order=6``) supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
+import threading
 
 from .errors import (
     CompositeDerivativeZero,
@@ -143,7 +153,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="real grid as start:stop:count")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("check", help="engine vs independent oracle, on the catalog or one pair")
+    p = sub.add_parser(
+        "check", help="engine vs independent oracle, on the catalog or one pair",
+        description="Compare the engine's coefficients with the jet oracle's. "
+                    "--f and --s together check that pair at --z0. Without them, "
+                    "each catalog pair is checked at its own expansion point, so "
+                    "--z0 is ignored, and the pairs' ladders are built in up to "
+                    "one worker process per CPU.")
     common(p, False)
     p.add_argument("--corrupt", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check, order=10)
@@ -254,24 +270,29 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    from .oracle import oracle_coefficients
+def _engine_coefficients(args, pair) -> tuple[tuple[complex, ...], int | None]:
+    """The engine's coefficients and terminated_at for one check pair.
 
-    if args.f is not None and args.s is None:
-        raise ParseError("--s is required when --f is given", 0)
-    if args.s is not None and args.f is None:
-        raise ParseError("--f is required when --s is given", 0)
-    pairs = CATALOG if args.f is None else [("user", args.f, args.s, args.z0)]
+    A catalog check runs this in worker processes, so it takes and returns
+    only values that pickle.
+    """
+    _, f_text, s_text, z0 = pair
+    exp = expand(_request_from(args, parse(f_text), parse(s_text), z0))
+    return exp.coefficients, exp.terminated_at
+
+
+def _check_report(args, pairs, engine_results) -> int:
+    """Compare each pair's engine result, read in order from engine_results,
+    with the oracle's jets and write the report."""
+    from .oracle import oracle_coefficients
 
     reports = []
     worst = 0.0
-    for label, f_text, s_text, z0 in pairs:
-        f, s = parse(f_text), parse(s_text)
-        exp = expand(_request_from(args, f, s, z0))
-        engine = list(exp.coefficients)
+    for (label, f_text, s_text, z0), (coefficients, terminated_at) in zip(pairs, engine_results):
+        engine = list(coefficients)
         if args.corrupt is not None and 0 <= args.corrupt < len(engine):
             engine[args.corrupt] += 1.0
-        oracle = oracle_coefficients(f, s, z0, args.order)
+        oracle = oracle_coefficients(parse(f_text), parse(s_text), z0, args.order)
         deviation = max(abs(e - o) / max(1.0, abs(o))
                         for e, o in zip(engine, oracle))
         worst = max(worst, deviation)
@@ -284,7 +305,7 @@ def cmd_check(args) -> int:
             "engine": [[c.real, c.imag] for c in engine],
             "oracle": [[c.real, c.imag] for c in oracle],
             "max_relative_deviation": deviation,
-            "terminated_at": exp.terminated_at,
+            "terminated_at": terminated_at,
         })
     ok = worst < CHECK_TOL
     out = {"pairs": reports, "max_relative_deviation": worst,
@@ -295,6 +316,39 @@ def cmd_check(args) -> int:
               f"exceeds {CHECK_TOL:g}", file=sys.stderr)
         return 5
     return 0
+
+
+def cmd_check(args) -> int:
+    if args.f is not None and args.s is None:
+        raise ParseError("--s is required when --f is given", 0)
+    if args.s is not None and args.f is None:
+        raise ParseError("--f is required when --s is given", 0)
+    pairs = CATALOG if args.f is None else [("user", args.f, args.s, args.z0)]
+    engine_of = functools.partial(_engine_coefficients, args)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(pairs), cpus)
+    # forking is unsafe while another thread may hold a lock the worker needs
+    if workers == 1 or threading.active_count() > 1:
+        return _check_report(args, pairs, map(engine_of, pairs))
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Forked workers start with funcseries already imported; spawned ones
+    # would pay interpreter start-up and these imports again, which costs
+    # most of the gain.  A forked worker flushes the stdio buffers it
+    # inherits when it exits, so they must be empty now.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # the workers build the ladders while this process imports numpy
+        return _check_report(args, pairs, pool.map(engine_of, pairs))
+    except BrokenProcessPool as exc:
+        raise FuncSeriesError(f"a check worker process stopped: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_remainder(args) -> int:

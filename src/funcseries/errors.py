@@ -15,7 +15,13 @@ class ParseError(FuncSeriesError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which here are not the
+        # constructor's; a check worker process returns its errors by pickle
+        return type(self), (self.message, self.position)
 
 
 class UnknownFunction(ParseError):

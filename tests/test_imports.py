@@ -1,5 +1,5 @@
-"""Import boundary: numpy, csv and the modules dataclasses pulls in are
-loaded only by the code that needs them."""
+"""Import boundary: numpy, csv, the process pool and the modules
+dataclasses pulls in are loaded only by the code that needs them."""
 
 import importlib
 import os
@@ -24,7 +24,8 @@ RUN_CLI = ("import contextlib, io, sys\n"
            "    assert main(sys.argv[1:]) == 0\n")
 
 #: the modules the import tests look for
-WATCHED = ("numpy", "csv", "dataclasses", "inspect", "ast")
+WATCHED = ("numpy", "csv", "dataclasses", "inspect", "ast",
+           "multiprocessing", "concurrent.futures")
 
 
 def loaded_modules(code: str, *argv: str) -> set[str]:
@@ -46,6 +47,7 @@ CASES = {
     "plot": (RUN_CLI, ("plot", *PAIR)),
     "remainder": (RUN_CLI, ("remainder", *PAIR, "--z", "0.4")),
     "check": (RUN_CLI, ("check", *PAIR)),
+    "check-catalog": (RUN_CLI, ("check", "--order", "2")),
     "teixeira": (RUN_CLI, ("teixeira", *PAIR)),
 }
 
@@ -58,7 +60,7 @@ def loaded():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_numpy_loaded_only_where_used(loaded, case):
-    assert ("numpy" in loaded[case]) is (case in ("check", "teixeira"))
+    assert ("numpy" in loaded[case]) is (case in ("check", "check-catalog", "teixeira"))
 
 
 @pytest.mark.parametrize("case", ["package", "cli", "expand", "plot", "remainder"])
@@ -70,6 +72,14 @@ def test_numpy_free_paths_load_no_dataclasses(loaded, case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_loaded_only_by_plot(loaded, case):
     assert ("csv" in loaded[case]) is (case == "plot")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_process_pool_loaded_only_by_catalog_check(loaded, case):
+    # a one-CPU host builds the catalog's ladders in-process
+    pooled = case == "check-catalog" and len(os.sched_getaffinity(0)) > 1
+    assert ("multiprocessing" in loaded[case]) is pooled
+    assert ("concurrent.futures" in loaded[case]) is pooled
 
 
 @pytest.mark.parametrize("name,module", [
