@@ -25,10 +25,11 @@ whole ladders in least-recently-used order while they hold at most
 :data:`LADDER_CACHE_NODES` nodes; a ladder that alone holds more is not
 kept.  Only built chains are cached, so a failed build is tried again
 on the next call.  :func:`ladder_cache_info` reads its counters.  The
-budget, about 2.4 MB, is sized on the repeat traffic of the benchmark's
-``bounds-eval`` workload (``BENCH_ladder_cache.json``): a larger one
-would raise its hit rate further but its peak memory by more than 5%,
-and traffic that never repeats a pair gains nothing from it.
+budget, about 1.6 MB, is sized on the repeat traffic of the benchmark's
+``bounds-eval`` workload (``BENCH_ladder_cache.json``,
+``BENCH_simplify_memo.json``): 12000 nodes would serve it faster still
+but raise its peak memory by more than 6%, and traffic that never
+repeats a pair gains nothing from the cache.
 
 The reverse direction, :func:`z_derivative_via_s`, produces the n'th
 z-derivative of k(s(z)) from an expression for k in the s-variable by
@@ -65,8 +66,9 @@ from .expr import (
 )
 
 #: most nodes the chain cache keeps over all its ladders, each counted
-#: where it first appears (about 150 bytes each with its args and value)
-LADDER_CACHE_NODES = 16_000
+#: where it first appears (about 165 bytes each with its args, value and
+#: cached hash)
+LADDER_CACHE_NODES = 10_000
 
 
 class OperatorChain:
@@ -74,8 +76,12 @@ class OperatorChain:
 
     Entry i+1 is simplify(divide(differentiate(entry i), sprime)) for
     sprime = simplify(differentiate(s)), which must not be 0; entry 0
-    is f itself.  The ladder is append-only: new entries are built under
-    the chain's lock, built ones are read without it.
+    is f itself.  differentiate copies subtrees of entry i and of sprime
+    by reference, and from entry 1 on all of them are simplified trees,
+    so simplify is passed both as ``simplified`` and keeps those
+    subtrees as they are; entry 0, the raw f, is not passed.  The ladder
+    is append-only: new entries are built under the chain's lock, built
+    ones are read without it.
     """
 
     def __init__(self, f: Expr, s: Expr):
@@ -100,7 +106,9 @@ class OperatorChain:
         with self._lock:
             while len(entries) <= n:
                 prev = entries[-1]
-                built = simplify(divide(differentiate(prev, self.letter), self.sprime))
+                known = (self.sprime,) if len(entries) == 1 else (prev, self.sprime)
+                built = simplify(divide(differentiate(prev, self.letter), self.sprime),
+                                 simplified=known)
                 nodes: dict[tuple, Expr] = {}
                 memo: dict[int, Expr] = {}
                 _shared(prev, nodes, memo)

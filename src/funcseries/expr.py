@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import re
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -100,27 +101,37 @@ class Expr(Record):
     nodes in ``args`` (n-ary for add/multiply, binary for
     divide/power, unary for negate and calls).  Nodes are slotted (no
     per-node ``__dict__``), which keeps the ladders a cache holds small.
-    ``__init__``, equality, the hash (of the field tuple, never cached)
-    and the repr (the ladder cache's key) are written out for speed.
+    ``__init__``, equality, the hash and the repr (the ladder cache's key)
+    are written out for speed.  The hash, that of the field tuple, is
+    computed on first use and kept in a slot; nodes that hash apart are
+    unequal, so equality of distinct trees mostly stops at the root.
     """
 
-    __slots__ = _fields = ("kind", "args", "name", "value")
+    __slots__ = ("kind", "args", "name", "value", "_hash")
+    _fields = ("kind", "args", "name", "value")
 
     def __init__(self, kind: str, args: tuple[Expr, ...] = (), name: str = "",
                  value: Number | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
+        _set_kind(self, kind)
+        _set_args(self, args)
+        _set_name(self, name)
+        _set_value(self, value)
+        _set_hash(self, None)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return ((self.kind, self.args, self.name, self.value)
-                    == (other.kind, other.args, other.name, other.value))
+            return self is other or (
+                hash(self) == hash(other)
+                and (self.kind, self.args, self.name, self.value)
+                == (other.kind, other.args, other.name, other.value))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.kind, self.args, self.name, self.value))
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.args, self.name, self.value))
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         return (f"Expr(kind={self.kind!r}, args={self.args!r}, "
@@ -163,6 +174,11 @@ class Expr(Record):
         return format_expr(self)
 
 
+# the slots' own setters: Record.__setattr__ raises
+_set_kind, _set_args, _set_name, _set_value, _set_hash = [
+    vars(Expr)[name].__set__ for name in Expr.__slots__]
+
+
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -170,14 +186,22 @@ def _coerce(x) -> Expr:
 
 
 def const(value: Number) -> Expr:
-    """Constant node; ints become exact Fractions, real complexes floats."""
+    """Constant node; ints become exact Fractions, real complexes floats.
+    An integer in -64..64 gets one shared node."""
     if isinstance(value, bool):
         raise TypeError("bool is not a numeric constant")
     if isinstance(value, int):
+        if -64 <= value <= 64:
+            return _SMALL_INTS[value + 64]
         value = Fraction(value)
+    elif value.__class__ is Fraction and value.denominator == 1 and -64 <= value.numerator <= 64:
+        return _SMALL_INTS[value.numerator + 64]
     elif isinstance(value, complex) and value.imag == 0.0:
         value = value.real
     return Expr(CONST, value=value)
+
+
+_SMALL_INTS = [Expr(CONST, value=Fraction(n)) for n in range(-64, 65)]
 
 
 def var(letter: str) -> Expr:
@@ -349,7 +373,48 @@ def _differentiate(e: Expr, letter: str) -> Expr:
 # have one reader each: _split_quotient reads a term's numerator and
 # denominator factors and its signed constant, and _split_power reads a
 # factor's base and integer exponent.
+#
+# A simplify call memoizes in one dict that lives for that call only, in
+# the thread-local _CALL: threads share trees (and ladders), never a
+# memo.  _simplify maps the id of each input node it has rewritten to
+# the result, and each node of the trees passed as ``simplified`` to
+# itself.  _simplify_add, _simplify_multiply, _divide_core and _power_of
+# are memoized on their exact arguments: a node keys on its id, a
+# constant on its type and repr, which keeps 2, 2.0 and -0.0 apart
+# (Expr equality merges them).  An id names one node only while that
+# node lives, so each entry holds its arguments until the call ends.
 # --------------------------------------------------------------------------
+
+class _Call(threading.local):
+    memo: dict | None = None
+
+
+_CALL = _Call()
+
+#: the exact 1 a product's coefficient starts from: a Fraction times it
+#: is that Fraction, so the (slow) Fraction product is skipped
+_ONE = Fraction(1)
+
+
+def _memoized(build: Callable) -> Callable:
+    """build, memoized in the running simplify call on its exact arguments."""
+    def memoized(*args):
+        memo = _CALL.memo
+        if memo is None:
+            return build(*args)
+        key = (build, *map(_exact_key, args[0] if args[0].__class__ is tuple else args))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (build(*args), args)
+        return hit[0]
+    return memoized
+
+
+def _exact_key(x):
+    if x.__class__ is not Expr:  # an int exponent
+        return x
+    return (type(x.value), repr(x.value)) if x.kind == CONST else id(x)
+
 
 def _is_const(e: Expr, v=None) -> bool:
     return e.kind == CONST and (v is None or e.value == v)
@@ -361,12 +426,13 @@ def _int_exponent(e: Expr) -> int | None:
         return None
     v = e.value
     if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
+        return v.numerator
     if isinstance(v, float) and v.is_integer():
         return int(v)
     return None
 
 
+@_memoized
 def _power_of(base: Expr, k: int) -> Expr:
     """base^k for an integer k, or base itself when k is 1."""
     return base if k == 1 else Expr(POWER, (base, const(k)))
@@ -394,35 +460,55 @@ def _is_quotient(t: Expr) -> bool:
     return t.kind == DIVIDE or (t.kind == NEGATE and t.args[0].kind == DIVIDE)
 
 
-def simplify(e: Expr) -> Expr:
+def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
+    """The simplified tree of e.  Each subtree of the trees in ``simplified``
+    must be its own simplified form, as each subtree of a simplify result
+    is: such subtrees of e are kept as they are, not simplified again."""
+    memo: dict = {}
+    stack = list(simplified)
+    while stack:
+        node = stack.pop()
+        if id(node) not in memo:
+            memo[id(node)] = node
+            stack.extend(node.args)
+    outer, _CALL.memo = _CALL.memo, memo
     try:
-        return _simplify(e)
+        return _simplify(e, memo)
     except (OverflowError, ZeroDivisionError) as exc:  # a constant over or under range
         raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
     except RecursionError:
         raise nested_too_deeply("simplify") from None
+    finally:
+        _CALL.memo = outer
 
 
-def _simplify(e: Expr) -> Expr:
+def _simplify(e: Expr, memo: dict) -> Expr:
     if e.kind in (CONST, VAR):
         return e
-    args = tuple(_simplify(a) for a in e.args)
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    args = tuple([_simplify(a, memo) for a in e.args])
 
     if e.kind == ADD:
-        return _simplify_add(args)
-    if e.kind == NEGATE:
-        return _negated(args[0])
-    if e.kind == MULTIPLY:
-        return _simplify_multiply(args)
-    if e.kind == DIVIDE:
-        return _simplify_divide(*args)
-    if e.kind == POWER:
-        return _simplify_power(*args)
-    if e.kind == CALL:
-        return _simplify_call(e.name, args[0])
-    raise AssertionError(f"unreachable node kind {e.kind}")
+        out = _simplify_add(args)
+    elif e.kind == NEGATE:
+        out = _negated(args[0])
+    elif e.kind == MULTIPLY:
+        out = _simplify_multiply(args)
+    elif e.kind == DIVIDE:
+        out = _simplify_divide(*args)
+    elif e.kind == POWER:
+        out = _simplify_power(*args)
+    elif e.kind == CALL:
+        out = _simplify_call(e.name, args[0])
+    else:
+        raise AssertionError(f"unreachable node kind {e.kind}")
+    memo[id(e)] = out
+    return out
 
 
+@_memoized
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
     # factor multiset -> [summed coefficient, factors as first seen]
@@ -436,9 +522,9 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             if not _is_quotient(t):
                 factors, _, coeff = _split_quotient(t)
             elif t.kind == NEGATE:  # a quotient stays whole
-                coeff, factors = Fraction(-1), [t.args[0]]
+                coeff, factors = -_ONE, [t.args[0]]
             else:
-                coeff, factors = Fraction(1), [t]
+                coeff, factors = _ONE, [t]
             key = frozenset(Counter(factors).items())
             if key in like:
                 like[key][0] += coeff
@@ -512,6 +598,7 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
     return _simplify_divide(num_node, den_node)
 
 
+@_memoized
 def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
     """Flatten and fold a product of already-simplified factors.
 
@@ -521,7 +608,7 @@ def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
     """
     factors: list[Expr] = []
     denominators: list[Expr] = []
-    constant: Number = Fraction(1)
+    constant: Number = _ONE
     stack = list(reversed(args))
     while stack:
         f = stack.pop()
@@ -531,7 +618,8 @@ def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
             constant = -constant
             stack.append(f.args[0])
         elif f.kind == CONST:
-            constant = constant * f.value
+            v = f.value
+            constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
         elif f.kind == DIVIDE:
             stack.append(f.args[0])
             denominators.append(f.args[1])
@@ -554,14 +642,16 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
     entry of that whole power as base, but never starts an entry.
     """
     merged: list[list] = []  # [base, summed exponent], or [factor, None] kept whole
+    open_entries: dict[Expr, list] = {}  # base -> its entry with an exponent
     for f in factors:
         base, k = _split_power(f)
-        for entry in merged:
-            if entry[1] is not None and entry[0] == base:
-                entry[1] += k
-                break
+        entry = open_entries.get(base)
+        if entry is not None:
+            entry[1] += k
+        elif base is f and f.kind == POWER:
+            merged.append([f, None])
         else:
-            merged.append([base, None if base is f and f.kind == POWER else k])
+            merged.append(open_entries.setdefault(base, [base, k]))
     rest: list[Expr] = []
     for base, k in merged:
         if k == 0:
@@ -595,7 +685,7 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
     """Decompose into (numerator factors, denominator factors, constant)."""
     nums: list[Expr] = []
     dens: list[Expr] = []
-    constant: Number = Fraction(1)
+    constant: Number = _ONE
     sign = 1
     if e.kind == NEGATE:
         sign = -1
@@ -610,13 +700,16 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
         for f in (part.args if part.kind == MULTIPLY else (part,)):
             if f.kind == CONST:
                 if sink is nums:
-                    constant = constant * f.value
+                    v = f.value
+                    constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
                 elif f.value != 0:
                     constant = constant / f.value
                 else:
                     sink.append(f)
             else:
                 sink.append(f)
+    if sign == 1 and constant.__class__ is Fraction:
+        return nums, dens, constant
     return nums, dens, sign * constant
 
 
@@ -686,6 +779,7 @@ def _expand_terms(e: Expr) -> list[Expr]:
     return [e]
 
 
+@_memoized
 def _divide_core(num: Expr, den: Expr) -> Expr:
     if _is_const(den, 1):
         return num

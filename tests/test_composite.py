@@ -147,6 +147,44 @@ class TestChain:
         assert digest.hexdigest() == FAMILY_LADDER_SHA256
 
 
+def distinct_subtrees(*trees):
+    """Every node of the trees once, shared subtrees included once."""
+    seen, stack = {}, list(trees)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.args)
+    return list(seen.values())
+
+
+LADDER_PAIRS = [(f, s) for _, f, s, _ in CATALOG] + list(FAMILY_PAIRS)
+
+
+class TestSeededEntries:
+    """OperatorChain.entry passes the previous entry and sprime to
+    simplify as already simplified; that holds only if every subtree of
+    a simplified tree is its own simplified form."""
+
+    @pytest.mark.parametrize("f_text,s_text", LADDER_PAIRS)
+    def test_every_subtree_of_entries_1_to_10_is_a_fixed_point(self, f_text, s_text):
+        chain = OperatorChain(parse(f_text), parse(s_text))
+        entries = [chain.entry(n) for n in range(1, 11)]
+        for t in distinct_subtrees(chain.sprime, *entries):
+            assert repr(simplify(t)) == repr(t), format_expr(t)
+
+    def test_entry_0_is_not_a_fixed_point_so_it_is_no_seed(self):
+        f = parse("1/(1+z)")
+        assert repr(simplify(f)) != repr(OperatorChain(f, parse("sin(z)")).entry(0))
+
+    @pytest.mark.parametrize("f_text,s_text", LADDER_PAIRS)
+    def test_seeds_change_no_entry(self, f_text, s_text):
+        chain = OperatorChain(parse(f_text), parse(s_text))
+        for n in range(10):
+            step = divide(differentiate(chain.entry(n), chain.letter), chain.sprime)
+            assert repr(simplify(step)) == repr(chain.entry(n + 1)), n
+
+
 class TestCompositeDerivative:
     def test_second_derivative_of_square_is_two(self):
         got = composite_derivative(parse("exp(2*z)"), parse("exp(z)"), 2)

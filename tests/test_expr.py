@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from funcseries.expr import (
     Expr,
     const,
     differentiate,
+    divide,
     evaluate,
     evaluate_many,
     format_expr,
@@ -293,6 +297,87 @@ class TestSimplify:
                 continue
             got = evaluate(s, z)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), text
+
+
+class TestHashAndSharedConstants:
+    def test_two_and_two_point_zero_are_one_key_with_two_reprs(self):
+        exact, real = const(2), const(2.0)
+        assert hash(exact) == hash(real) and exact == real
+        assert {exact: "first"}[real] == "first"
+        assert len({exact, real, const(Fraction(2))}) == 1
+        assert repr(exact) != repr(real)
+        assert repr(const(0.0)) != repr(const(-0.0))
+
+    def test_small_integers_share_one_node(self):
+        assert const(3) is const(3) is const(Fraction(3))
+        assert const(-64) is const(-64) and const(64) is const(64)
+        assert const(65) is not const(65) and const(65) == const(65)
+        assert const(3.0) is not const(3) and isinstance(const(3.0).value, float)
+        assert const(Fraction(1, 2)) is not const(Fraction(1, 2))
+
+    def test_merge_keeps_first_seen_order_and_never_starts_at_a_real_power(self):
+        # _rebuild_product merges bases through a dict: a power with a
+        # non-integer exponent joins an earlier entry of its whole power
+        # but never starts one, as the pairwise scan it replaced did
+        cases = {
+            "2^(-z)*(2^(-z))^2": "2^(-z)*(2^(-z))^2",
+            "(2^(-z))^2*2^(-z)": "(2^(-z))^3",
+            "z*z^(1/2)*z": "z^2*z^(1/2)",
+            "z^(1/2)*z*z^(1/2)*z^2": "z^(1/2)*z^3*z^(1/2)",
+        }
+        for text, want in cases.items():
+            assert format_expr(simplify(parse(text))) == want, text
+
+
+class TestSimplifyMemo:
+    """simplify memoizes within one call only: no memo is visible to a
+    caller, to another call or to another thread."""
+
+    @staticmethod
+    def ladder_steps():
+        # the next ladder entry of four catalog pairs, seeded as
+        # OperatorChain.entry seeds it, and once more without seeds
+        steps = []
+        for _, f_text, s_text, _ in CATALOG[:4]:
+            chain = OperatorChain(parse(f_text), parse(s_text))
+            prev = chain.entry(7)
+            step = divide(differentiate(prev, chain.letter), chain.sprime)
+            steps += [(step, (prev, chain.sprime)), (step, ())]
+        return steps
+
+    def test_concurrent_calls_match_a_sequential_run(self):
+        steps = self.ladder_steps()
+        want = [repr(simplify(e, simplified=known)) for e, known in steps]
+        got: dict[int, list[str]] = {}
+        memo_seen_outside_a_call = []
+
+        def run(i):
+            e, known = steps[i]
+            got[i] = []
+            for _ in range(3):
+                got[i].append(repr(simplify(e, simplified=known)))
+                memo_seen_outside_a_call.append(expr_module._CALL.memo is not None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(steps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: [w] * 3 for i, w in enumerate(want)}
+        assert not any(memo_seen_outside_a_call)
+
+    def test_no_memo_outlives_a_call_that_raises(self):
+        with pytest.raises(SingularEvaluation):
+            simplify(parse("2^1100*z + 0.5*z"))
+        assert expr_module._CALL.memo is None
+        simplify(parse("sin(z)/sin(z)"))
+        assert expr_module._CALL.memo is None
 
 
 class TestFormat:

@@ -14,6 +14,7 @@ from funcseries.expr import (
     add,
     call,
     const,
+    differentiate,
     divide,
     format_expr,
     multiply,
@@ -109,3 +110,38 @@ def test_simplify_is_idempotent_and_round_trips(e):
     once = simplify(e)
     assert simplify(once) == once
     assert parse(format_expr(e)) == once
+
+
+def _distinct_subtrees(e):
+    seen, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.args)
+    return seen.values()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(e=TREES)
+def test_cached_hash_is_the_field_tuple_hash(e):
+    for node in _distinct_subtrees(simplify(differentiate(e))):
+        want = hash((node.kind, node.args, node.name, node.value))
+        assert hash(node) == want and hash(node) == want
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(e=TREES)
+def test_every_subtree_of_a_simplified_tree_is_a_fixed_point(e):
+    # the assumption behind the trees simplify takes as ``simplified``
+    for t in _distinct_subtrees(simplify(e)):
+        assert repr(simplify(t)) == repr(t), (format_expr(e), format_expr(t))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(e=TREES)
+def test_seeding_a_simplified_tree_changes_nothing(e):
+    # one ladder step: the derivative of a simplified tree over that tree
+    once = simplify(e)
+    step = divide(differentiate(once), once)
+    assert repr(simplify(step, simplified=(once,))) == repr(simplify(step))
