@@ -989,12 +989,13 @@ BLOCK = 256
 def evaluate_many(e: Expr, points: list) -> list[complex]:
     """``[evaluate(e, z) for z in points]`` bit for bit, exceptions too.
 
-    The tree compiles once into a tape, one step per distinct node (by
-    identity), and each step runs over a block of at most BLOCK points.
-    A block where a check of evaluate could fire runs again point by
-    point through evaluate, which raises what it raises."""
+    Each step of the tree's tape is bound once to a closure that runs it
+    over a block of at most BLOCK points.  A block where a check of
+    evaluate could fire runs again point by point through evaluate,
+    which raises what it raises, its denominator check first."""
     try:
-        tape = _tape(e)
+        tape = [(_block_step(kind, name, value, inputs), dead)
+                for kind, name, value, inputs, dead in _tape(e)]
     except RecursionError:
         raise nested_too_deeply("evaluate") from None
     out: list[complex] = []
@@ -1012,53 +1013,59 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
     return out
 
 
-def _tape(e: Expr) -> list[tuple[Callable, list[int]]]:
-    """Steps, one per distinct node, doing _eval's operations in its order; slot 0
-    holds the points and slot i what step i-1 gives, dropped after its last reader."""
-    steps: list[tuple[Callable, tuple[int, ...]]] = []
+def _tape(e: Expr) -> list[tuple]:
+    """e as plain data that each number model runs its own way: one step
+    ``(kind, name, value, inputs, dead)`` per distinct node (by identity),
+    children first and left to right.  value is a constant's value, an integer
+    power's exponent (its subtree is never read) or None; inputs are the slots
+    read, slot 0 the variable's and slot i step i-1's, and dead those read for
+    the last time.  A RecursionError on a too-deep tree propagates."""
+    steps: list[tuple] = []
     slots: dict[int, int] = {}
 
-    def emit(e: Expr, step: Callable, *inputs: int) -> int:
-        steps.append((step, inputs))
+    def slot(e: Expr) -> int:  # one frame per tree level
+        if e.kind == VAR or id(e) in slots:  # the variable's slot is 0
+            return slots.get(id(e), 0)
+        value, args = e.value, e.args
+        if e.kind == POWER:
+            value = _int_exponent(args[1])
+            if value is not None:
+                args = args[:1]
+        steps.append((e.kind, e.name, value, tuple(map(slot, args))))
         slots[id(e)] = len(steps)
         return len(steps)
 
-    def slot(e: Expr) -> int:  # one frame per tree level, as deep as _eval goes
-        if e.kind == VAR or id(e) in slots:  # the variable's slot is 0
-            return slots.get(id(e), 0)
-        if e.kind == CONST:  # converted per block: one beyond double range fails it
-            return emit(e, lambda v: [complex(e.value)] * len(v[0]))
-        if e.kind == MULTIPLY:
-            fs = tuple(map(slot, e.args))
-            return emit(e, lambda v: reduce(lambda out, f: [p * x for p, x in zip(out, v[f])],
-                                            fs, [complex(1)] * len(v[0])), *fs)
-        if e.kind == DIVIDE:
-            d = slot(e.args[1])  # then its floor check (a nan min fails it), then num
-            steps.append((lambda v: _check(min(map(abs, v[d])) >= DIVISION_FLOOR), (d,)))
-            n = slot(e.args[0])
-            return emit(e, lambda v: [x / y for x, y in zip(v[n], v[d])], n, d)
-        a = slot(e.args[0])
-        if e.kind == POWER and (k := _int_exponent(e.args[1])) is not None:
-            return emit(e, lambda v: [x ** k for x in v[a]], a)
-        args = (a, *map(slot, e.args[1:]))
-        if e.kind == ADD:
-            return emit(e, lambda v: list(map(
-                sum, zip(*[v[t] for t in args]), repeat(complex(0)))), *args)
-        if e.kind == NEGATE:
-            return emit(e, lambda v: [-x for x in v[a]], a)
-        if e.kind == POWER:
-            return emit(e, lambda v: [x ** y for x, y in zip(
-                map(_on_principal_branch, v[a]), v[args[1]])], *args)
-        rule, pin = FUNCTIONS[e.name][0], e.name in ("log", "sqrt")
-        return emit(e, lambda v: _finite(list(map(
-            rule, map(_on_principal_branch, v[a]) if pin else v[a]))), a)
-
     slot(e)
     tape, read = [], set()
-    for step, inputs in reversed(steps):  # a slot dies at the last step reading it
-        tape.append((step, [i for i in set(inputs) - read if i]))
-        read.update(inputs)
+    for step in reversed(steps):  # a slot dies at the last step reading it
+        tape.append((*step, [i for i in set(step[3]) - read if i]))
+        read.update(step[3])
     return tape[::-1]
+
+
+def _block_step(kind: str, name: str, value, inputs: tuple[int, ...]) -> Callable:
+    """A step as _eval runs its node, over a block: v[i] is slot i's values."""
+    a = inputs[0] if inputs else 0
+    if kind == CONST:  # converted per block: one beyond double range fails it
+        return lambda v: [complex(value)] * len(v[0])
+    if kind == ADD:
+        return lambda v: list(map(sum, zip(*[v[t] for t in inputs]), repeat(complex(0))))
+    if kind == NEGATE:
+        return lambda v: [-x for x in v[a]]
+    if kind == MULTIPLY:
+        return lambda v: reduce(lambda out, f: [p * x for p, x in zip(out, v[f])],
+                                inputs, [complex(1)] * len(v[0]))
+    if kind == DIVIDE:
+        def divide(v):
+            _check(min(map(abs, v[inputs[1]])) >= DIVISION_FLOOR)  # a nan min fails it
+            return [x / y for x, y in zip(v[a], v[inputs[1]])]
+        return divide
+    if kind == POWER and value is not None:
+        return lambda v: [x ** value for x in v[a]]
+    if kind == POWER:
+        return lambda v: [x ** y for x, y in zip(map(_on_principal_branch, v[a]), v[inputs[1]])]
+    rule, pin = FUNCTIONS[name][0], name in ("log", "sqrt")
+    return lambda v: _finite(list(map(rule, map(_on_principal_branch, v[a]) if pin else v[a])))
 
 
 def _check(ok: bool) -> None:

@@ -36,6 +36,8 @@ The pairs it is checked on are ``series.CATALOG``.
 from __future__ import annotations
 
 import cmath
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -48,16 +50,14 @@ from .errors import (
 )
 from .expr import (
     ADD,
-    CALL,
     CONST,
     DIVIDE,
     MULTIPLY,
     NEGATE,
     POWER,
-    VAR,
     Expr,
-    _int_exponent,
     _on_principal_branch,
+    _tape,
 )
 
 #: |constant term| below this makes a series unusable as a divisor
@@ -130,7 +130,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_expr(cls, e: Expr, z0: complex, order: int) -> "TruncatedSeries":
-        """Jet of e(z0 + t), built by recursion on the tree.
+        """Jet of e(z0 + t), one truncated-series operation per step of the
+        tree's tape (``expr._tape``), so a shared subtree is expanded once.
 
         No symbolic differentiation is involved; elementary functions
         contribute closed-form jets at the inner constant term.  Raises
@@ -141,7 +142,7 @@ class TruncatedSeries:
             raise ValueError("order must be >= 0")
         try:
             return _jet(e, complex(z0), order)
-        except (DivisionBySingularSeries, CompositionOffsetNonzero) as exc:
+        except DivisionBySingularSeries as exc:
             raise SingularAtExpansionPoint(f"jet of {e} at {z0}: {exc}") from exc
         except RecursionError:
             raise nested_too_deeply("build a jet") from None
@@ -287,39 +288,29 @@ def _apply_elementary(name: str, inner: TruncatedSeries) -> TruncatedSeries:
 
 
 def _jet(e: Expr, z0: complex, order: int) -> TruncatedSeries:
-    if e.kind == CONST:
-        try:
-            return TruncatedSeries.constant(complex(e.value), order)
-        except OverflowError as exc:
-            raise SingularAtExpansionPoint(
-                f"constant out of floating-point range: {exc}") from exc
-    if e.kind == VAR:
-        return TruncatedSeries.identity(z0, order)
-    if e.kind == ADD:
-        out = _jet(e.args[0], z0, order)
-        for a in e.args[1:]:
-            out = out + _jet(a, z0, order)
-        return out
-    if e.kind == NEGATE:
-        return -_jet(e.args[0], z0, order)
-    if e.kind == MULTIPLY:
-        out = _jet(e.args[0], z0, order)
-        for a in e.args[1:]:
-            out = out * _jet(a, z0, order)
-        return out
-    if e.kind == DIVIDE:
-        return _jet(e.args[0], z0, order) / _jet(e.args[1], z0, order)
-    if e.kind == POWER:
-        base = _jet(e.args[0], z0, order)
-        n = _int_exponent(e.args[1])
-        if n is not None:
-            return base ** n
-        # general exponent through exp(c * log(base)), principal branch
-        exponent = _jet(e.args[1], z0, order)
-        return _apply_elementary("exp", exponent * _apply_elementary("log", base))
-    if e.kind == CALL:
-        return _apply_elementary(e.name, _jet(e.args[0], z0, order))
-    raise AssertionError(f"unreachable node kind {e.kind}")
+    jets = [TruncatedSeries.identity(z0, order)]
+    for kind, name, value, inputs, _ in _tape(e):
+        args = [jets[i] for i in inputs]
+        if kind == CONST:
+            try:
+                out = TruncatedSeries.constant(complex(value), order)
+            except OverflowError as exc:
+                raise SingularAtExpansionPoint(
+                    f"constant out of floating-point range: {exc}") from exc
+        elif kind in (ADD, MULTIPLY):
+            out = reduce(operator.add if kind == ADD else operator.mul, args)
+        elif kind == NEGATE:
+            out = -args[0]
+        elif kind == DIVIDE:
+            out = args[0] / args[1]
+        elif kind == POWER and value is not None:
+            out = args[0] ** value
+        elif kind == POWER:  # through exp(c * log(base)), principal branch
+            out = _apply_elementary("exp", args[1] * _apply_elementary("log", args[0]))
+        else:
+            out = _apply_elementary(name, args[0])
+        jets.append(out)
+    return jets[-1]
 
 
 # --------------------------------------------------------------------------

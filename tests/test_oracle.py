@@ -1,8 +1,13 @@
 """Jet arithmetic and triangular coefficient matching."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import test_expr
 
+from funcseries import CATALOG
+from funcseries.composite import OperatorChain
 from funcseries.errors import (
     CompositionOffsetNonzero,
     DivisionBySingularSeries,
@@ -146,3 +151,55 @@ class TestOracleCoefficients:
     def test_zero_linear_term_rejected(self):
         with pytest.raises(LeadingCoefficientZero):
             oracle_coefficients(parse("exp(z)"), parse("z^2"), 0.0, 3)
+
+
+def _jet_outcome(fn, *args) -> str:
+    """float.hex of every coefficient, or the fault a raise comes from: the
+    type and message at the root of its __cause__ chain."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        while exc.__cause__ is not None:
+            exc = exc.__cause__
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(value, TruncatedSeries):
+        value = value.coefficients.tolist()
+    return " ".join(f"{c.real.hex()},{c.imag.hex()}" for c in map(complex, value))
+
+
+class TestRecordedJets:
+    #: sha256 of _jet_outcome, one line each, for: the jets of f and s and
+    #: the oracle coefficients of each CATALOG pair at orders 0/3/8/14/40;
+    #: the order-6 jets of its ladder entries 0-7; and the order-4 jets of
+    #: 3000 random trees (seed 20261019) at six points each.  18161
+    #: outcomes, about a fifth of them raising
+    JET_DIGEST = "23c4f97222a1659a06c1799634640f9dc9b9757cc93bd957cd9b7bf9be9f8512"
+
+    #: 0, both sides of the log/sqrt cut, a pole of many random trees, a
+    #: generic point, and a point whose powers underflow
+    POINTS = [0.0, -2.0, complex(-2.0, -0.0), 1.0, 0.5 + 0.25j, 1e-200j]
+
+    def test_jets_match_recorded_digest(self):
+        outcomes = []
+        for _, f_text, s_text, z0 in CATALOG:
+            f, s = parse(f_text), parse(s_text)
+            for order in (0, 3, 8, 14, 40):
+                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, f, z0, order))
+                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, s, z0, order))
+                outcomes.append(_jet_outcome(oracle_coefficients, f, s, z0, order))
+            chain = OperatorChain(f, s)
+            for n in range(8):
+                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, chain.entry(n), z0, 6))
+        rng = np.random.default_rng(20261019)
+        for _ in range(3000):
+            e = test_expr.TestRandomizedTrees.random_tree(rng, int(rng.integers(2, 6)))
+            for z in self.POINTS:
+                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, e, z, 4))
+        assert sum(": " in o for o in outcomes) > 3000  # the failing paths run too
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.JET_DIGEST
+
+    def test_numerator_fault_reported_first(self):
+        # both fail at 0; the jet of the numerator is built first
+        with pytest.raises(SingularAtExpansionPoint, match="^log at 0$"):
+            TruncatedSeries.from_expr(parse("log(z)/sqrt(z)"), 0, 3)
