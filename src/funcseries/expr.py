@@ -10,10 +10,13 @@ provides the five operations everything else is built on:
   integer / decimal / ``p/q`` literals and one single-letter variable;
 * :func:`differentiate` -- symbolic derivative by the standard rules;
 * :func:`simplify` -- best-effort constant folding and identity
-  elimination (idempotent, value-preserving);
+  elimination (idempotent, value-preserving; a non-finite float
+  constant raises);
 * :func:`evaluate` -- complex-number evaluation on the principal branch
   of log / sqrt / non-integer powers at one point, and
-  :func:`evaluate_many`, the same bits at many points for one walk;
+  :func:`evaluate_many`, the same bits at many points from the tree's
+  tape: one plain-data step per distinct node, which the oracle's jets
+  run too;
 * :func:`format_expr` -- minimal-parenthesis text such that
   ``parse(format_expr(e))`` is structurally equal to ``simplify(e)``.
 
@@ -187,7 +190,8 @@ def _coerce(x) -> Expr:
 
 def const(value: Number) -> Expr:
     """Constant node; ints become exact Fractions, real complexes floats.
-    An integer in -64..64 gets one shared node."""
+    An integer in -64..64 gets one shared node.  Inside a simplify call a
+    float or complex out of double range raises SingularEvaluation."""
     if isinstance(value, bool):
         raise TypeError("bool is not a numeric constant")
     if isinstance(value, int):
@@ -198,6 +202,8 @@ def const(value: Number) -> Expr:
         return _SMALL_INTS[value.numerator + 64]
     elif isinstance(value, complex) and value.imag == 0.0:
         value = value.real
+    if value.__class__ is not Fraction and _CALL.memo is not None:  # simplify folded it
+        _in_range(value)
     return Expr(CONST, value=value)
 
 
@@ -416,6 +422,13 @@ def _exact_key(x):
     return (type(x.value), repr(x.value)) if x.kind == CONST else id(x)
 
 
+def _in_range(v: Number) -> None:
+    """Raise SingularEvaluation on a constant simplify must not keep: a float
+    or complex that left double range would print as inf or nan."""
+    if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        raise SingularEvaluation(f"constant out of floating-point range: {v}")
+
+
 def _is_const(e: Expr, v=None) -> bool:
     return e.kind == CONST and (v is None or e.value == v)
 
@@ -463,7 +476,9 @@ def _is_quotient(t: Expr) -> bool:
 def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
     """The simplified tree of e.  Each subtree of the trees in ``simplified``
     must be its own simplified form, as each subtree of a simplify result
-    is: such subtrees of e are kept as they are, not simplified again."""
+    is: such subtrees of e are kept as they are, not simplified again.
+    A non-finite float or complex constant, in e or folded from it,
+    raises SingularEvaluation: inf and nan have no text form."""
     memo: dict = {}
     stack = list(simplified)
     while stack:
@@ -484,6 +499,8 @@ def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
 
 def _simplify(e: Expr, memo: dict) -> Expr:
     if e.kind in (CONST, VAR):
+        if e.kind == CONST:
+            _in_range(e.value)
         return e
     out = memo.get(id(e))
     if out is not None:
@@ -920,10 +937,12 @@ def _on_principal_branch(u: complex) -> complex:
 def evaluate(e: Expr, at: complex) -> complex:
     """Evaluate the tree at a complex point.
 
-    log, sqrt and non-integer powers use the principal branch.  A
-    division with |denominator| < 1e-300, or any non-finite
-    intermediate, raises SingularEvaluation.  Non-finite inputs are
-    rejected outright.
+    log, sqrt and non-integer powers use the principal branch.
+    SingularEvaluation is raised by a constant beyond double range, a
+    division with |denominator| < 1e-300, a power or function that
+    fails, a function value that is not finite, and a result that is
+    not finite.  Other intermediates may be: exp(z - 1e308*10) is 0j at
+    z = 0.  A non-finite point raises ValueError.
     """
     z = complex(at)
     if not cmath.isfinite(z):
@@ -1031,16 +1050,16 @@ def _tape(e: Expr) -> list[tuple]:
             value = _int_exponent(args[1])
             if value is not None:
                 args = args[:1]
-        steps.append((e.kind, e.name, value, tuple(map(slot, args))))
+        steps.append((e.kind, e.name, value, tuple(map(slot, args)), []))
         slots[id(e)] = len(steps)
         return len(steps)
 
     slot(e)
-    tape, read = [], set()
-    for step in reversed(steps):  # a slot dies at the last step reading it
-        tape.append((*step, [i for i in set(step[3]) - read if i]))
-        read.update(step[3])
-    return tape[::-1]
+    last = {i: n for n, step in enumerate(steps) for i in step[3]}  # each slot's last reader
+    for i, n in last.items():
+        if i:  # slot 0, the variable's, stays
+            steps[n][4].append(i)
+    return steps
 
 
 def _block_step(kind: str, name: str, value, inputs: tuple[int, ...]) -> Callable:

@@ -2,9 +2,10 @@
 
 This module is the independent cross-check for the expansion engine.
 It never touches symbolic differentiation or the composite-derivative
-ladder: Taylor data is produced by recursing over the expression tree
-with truncated-series arithmetic (:class:`TruncatedSeries`) and jets of
-the elementary functions, and expansion coefficients are recovered by
+ladder: Taylor data is produced by running the tree's evaluation tape
+(``expr._tape``, the one :func:`funcseries.expr.evaluate_many` runs) with
+truncated-series arithmetic (:class:`TruncatedSeries`) and jets of the
+elementary functions, and expansion coefficients are recovered by
 :func:`oracle_coefficients`, which matches coefficients in the sum
 
     F(t) = sum_n c_n * u(t)^n,        u = inner series minus its constant
@@ -19,8 +20,11 @@ fixed order; arithmetic never reads beyond the stored coefficients.
 Products, quotients and compositions run on three small numpy kernels
 (Cauchy product, long division, Horner composition) private to this
 module.  The jets are also the Taylor data for the inverse-composite
-route in :mod:`funcseries.series`.  All values are complex128 and
-instances are immutable, so everything here can run concurrently.
+route in :mod:`funcseries.series`.  An elementary jet out of double
+range raises SingularAtExpansionPoint; arithmetic out of range gives
+inf or nan without a warning, which both routes reject.  All values are
+complex128 and instances are immutable, so everything here can run
+concurrently.
 
 With :mod:`funcseries.teixeira` this is the only module that imports
 numpy, so the rest of the package imports it lazily: the package
@@ -129,6 +133,7 @@ class TruncatedSeries:
         return cls(c)
 
     @classmethod
+    @np.errstate(all="ignore")  # a coefficient out of range is the caller's to reject
     def from_expr(cls, e: Expr, z0: complex, order: int) -> "TruncatedSeries":
         """Jet of e(z0 + t), one truncated-series operation per step of the
         tree's tape (``expr._tape``), so a shared subtree is expanded once.
@@ -136,7 +141,9 @@ class TruncatedSeries:
         No symbolic differentiation is involved; elementary functions
         contribute closed-form jets at the inner constant term.  Raises
         SingularAtExpansionPoint when a division, log, sqrt, or
-        non-integer power is taken at a singular inner value.
+        non-integer power is taken at a singular inner value, or an
+        elementary jet leaves double range; a coefficient that does so
+        in the arithmetic comes back inf or nan, with no numpy warning.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -283,8 +290,11 @@ def _apply_elementary(name: str, inner: TruncatedSeries) -> TruncatedSeries:
     v = complex(inner.coefficients[0])
     if name == "tan":
         return (_apply_elementary("sin", inner) / _apply_elementary("cos", inner))
-    outer = TruncatedSeries(_elementary_jet(name, v, inner.order))
-    return outer.compose(inner.shift_to_zero())
+    try:
+        jet = _elementary_jet(name, v, inner.order)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:  # exp(800), log's v^k under range
+        raise SingularAtExpansionPoint(f"{name} jet at {v}: {exc}") from exc
+    return TruncatedSeries(jet).compose(inner.shift_to_zero())
 
 
 def _jet(e: Expr, z0: complex, order: int) -> TruncatedSeries:

@@ -35,6 +35,7 @@ them, under the chain's own lock.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -237,7 +238,7 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
     within the round-trip tolerance; otherwise InverseMismatch is
     raised.  The coefficients are those of the jet of f(g(.)) at s(z0),
     so SingularAtExpansionPoint is raised where that jet cannot be
-    formed, and ConstantComposite as in expand(), whose result it
+    formed or leaves double range, and ConstantComposite as in expand(), whose result it
     matches field for field.
     """
     from .oracle import TruncatedSeries  # the jets need numpy: load it only here
@@ -256,5 +257,7 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
     h = substitute(f, chain.letter, g)
     jet = TruncatedSeries.from_expr(h, s0, order)
     coefficients = tuple(complex(c) for c in jet.coefficients)
+    if not all(map(cmath.isfinite, coefficients)):
+        raise SingularAtExpansionPoint(f"inverse route at z0={z0}: coefficients leave double range")
     terminated = detect_termination(coefficients, termination_tol)
     return SeriesExpansion(f, s, z0, s0, coefficients, terminated, chain)

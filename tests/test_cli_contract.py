@@ -1,6 +1,7 @@
 """The CLI's error contract on generated input: every call of ``cli.main``
 exits with a documented code, prints a strict-JSON (or, for ``plot``, CSV)
-report on success, and otherwise prints no stdout and one stderr line.
+report on success, whose ``f`` and ``s`` re-parse, and otherwise prints no
+stdout and one stderr line.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcseries.cli import main
+from funcseries.expr import parse
 
 #: leaves of the grammar, with constants at the edges of double range
 LEAVES = ["z", "1", "2", "3", "1/2", "0.25", "1e308", "1e-320", "2^1100"]
@@ -62,6 +64,8 @@ def _strict_json(text):
 @example(command="check", f="tan(log(1e308))", s="z", z0="0", order=2)
 # exact coefficients, but u^2 overflows in the oracle's matching
 @example(command="check", f="1", s="(z)^(2)", z0="1e154", order=2)
+# simplify folded 1e308*10 to inf and the report printed "exp(z - inf)"
+@example(command="expand", f="exp(z-1e308*10)", s="z", z0="0", order=2)
 def test_every_call_keeps_the_contract(command, f, s, z0, order):
     argv = [command, f"--f={f}", f"--s={s}", f"--z0={z0}", f"--order={order}",
             *COMMANDS[command]]
@@ -78,7 +82,9 @@ def test_every_call_keeps_the_contract(command, f, s, z0, order):
             rows = list(csv.reader(io.StringIO(out)))
             assert rows and all(len(row) == order + 3 for row in rows), argv
         else:
-            _strict_json(out)
+            report = _strict_json(out)
+            if command in ("expand", "remainder") and code == 0:
+                parse(report["f"]), parse(report["s"])  # format_expr's text re-parses
         assert err == "" if code == 0 else err.count("\n") == 1, (argv, err)
     else:
         assert out == "", argv

@@ -1,10 +1,14 @@
 """Jet arithmetic and triangular coefficient matching."""
 
+import cmath
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 import test_expr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcseries import CATALOG
 from funcseries.composite import OperatorChain
@@ -151,6 +155,41 @@ class TestOracleCoefficients:
     def test_zero_linear_term_rejected(self):
         with pytest.raises(LeadingCoefficientZero):
             oracle_coefficients(parse("exp(z)"), parse("z^2"), 0.0, 3)
+
+    def test_exp_jet_overflow_is_a_singularity(self):
+        with pytest.raises(SingularAtExpansionPoint,
+                           match=r"^exp jet at \(800\+0j\): math range error$"):
+            oracle_coefficients(parse("exp(z)"), parse("z"), 800, 4)
+
+    def test_log_jet_underflow_is_a_singularity(self):
+        # v^2 underflows to 0 in the jet of log at 1e-200
+        with pytest.raises(SingularAtExpansionPoint,
+                           match=r"^log jet at \(1e-200\+0j\): complex division by zero$"):
+            oracle_coefficients(parse("log(z)"), parse("z"), 1e-200, 3)
+
+
+#: jets whose values or coefficients leave double range somewhere in 1e-300..1e300
+F_TEXTS = ["exp(z)", "log(z)", "sqrt(z)", "sin(z)", "cosh(z)", "tan(z)", "1/z", "z^3",
+           "2^(-z)", "log(1+z)/z"]
+S_TEXTS = ["z", "exp(z)", "sqrt(z)", "z^2 + z", "sin(z)", "log(z)"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(f=st.sampled_from(F_TEXTS), s=st.sampled_from(S_TEXTS),
+       size=st.floats(1e-300, 1e300), direction=st.sampled_from([1, -1, 1j]),
+       order=st.integers(0, 8))
+def test_oracle_over_the_double_range(f, s, size, direction, order):
+    # finite coefficients or a FuncSeriesError, never a bare error or a warning
+    # (warnings turn to errors here, not by a mark: a failing example's report
+    # imports modules that warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            coefficients = oracle_coefficients(parse(f), parse(s), size * direction, order)
+        except FuncSeriesError:
+            return
+    assert len(coefficients) == order + 1
+    assert all(map(cmath.isfinite, coefficients))
 
 
 def _jet_outcome(fn, *args) -> str:

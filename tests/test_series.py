@@ -308,6 +308,19 @@ class TestInverseCompositeRoute:
             inverse_composite_expand(
                 parse("exp(2*z)"), parse("exp(z)"), parse("s"), 1.0, 4)
 
+    def test_jet_overflow_is_a_singularity(self):
+        # exp(exp(10)) leaves double range in the jet of exp
+        with pytest.raises(SingularAtExpansionPoint,
+                           match=r"^exp jet at \(22026\.465794806718\+0j\): math range error$"):
+            inverse_composite_expand(parse("exp(exp(z))"), parse("z"), parse("w"), 10, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_coefficients_are_a_singularity(self):
+        # sqrt's jet at 1e-290 overflows in the arithmetic, without a warning
+        with pytest.raises(SingularAtExpansionPoint,
+                           match=r"^inverse route at z0=\(1e-290\+0j\): coefficients leave double range$"):
+            inverse_composite_expand(parse("sqrt(z)"), parse("z"), parse("w"), 1e-290, 3)
+
     def test_serialization_shape(self):
         exp = expand_pair("1/(1+z)", "sin(z)", 0.0, 3)
         d = exp.as_dict()
