@@ -483,6 +483,82 @@ class TestRandomizedTrees:
                     assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (trial, text)
 
 
+class TestRecordedDerivatives:
+    """differentiate, simplify and format_expr pinned bit for bit on seeded
+    trees that share subtrees, and on seeded ladders of the benchmark's
+    families."""
+
+    FUNCS = TestRandomizedTrees.FUNCS
+    LEAVES = [Z, Z, const(2), const(-3), const(Fraction(2, 3)), const(0.5), const(-0.0),
+              const(1.5j)]
+
+    #: (f, s) templates of the ladder families; {a} and {b} are drawn
+    FAMILIES = [
+        ("1/({a}+z)", "sin(z)"), ("1/(1-{a}^(1-z))", "{a}^(-z)"), ("{a}^(-z)", "{b}^(-z)"),
+        ("1/({a}+z)", "exp(z)"), ("exp({a}*z)", "exp(z)"), ("exp({a}*z)", "sin(z)"),
+        ("cos({a}*z)", "sinh(z)"), ("1/(z-{a})^2", "1/(z-{a})"), ("exp({a}*z)", "z+{b}*z^2"),
+    ]
+
+    #: sha256 of the outcomes, one line each, for 500 depth-4 trees drawn
+    #: with seed 20261020 (differentiate(e), simplify of it, the simplified
+    #: derivative of that, and format_expr(e)), then entries 0-8 of two
+    #: drawn pairs per family
+    DIGEST = "ebaae7caf75b83032ae52e5847956978920e227894687c76eb77ef5b1299e1fb"
+
+    @classmethod
+    def tree(cls, rng, depth, pool):
+        """A tree over every node kind, all 8 functions and variable
+        exponents; about a third of its inner nodes reuse one from pool."""
+        if depth == 0:
+            return cls.LEAVES[rng.integers(len(cls.LEAVES))]
+        if pool and rng.random() < 0.3:
+            return pool[rng.integers(len(pool))]
+        child = lambda: cls.tree(rng, depth - 1, pool)
+        kind = rng.integers(7)
+        if kind == 0:
+            e = Expr(ADD, tuple(child() for _ in range(int(rng.integers(2, 4)))))
+        elif kind == 1:
+            e = Expr(NEGATE, (child(),))
+        elif kind == 2:
+            e = Expr(MULTIPLY, tuple(child() for _ in range(int(rng.integers(2, 4)))))
+        elif kind == 3:
+            e = Expr(DIVIDE, (child(), child()))
+        elif kind == 4:
+            exponents = [const(int(rng.integers(-3, 4))), const(Fraction(1, 2)), const(1.5),
+                         child()]
+            e = Expr(POWER, (child(), exponents[rng.integers(4)]))
+        else:
+            e = Expr(CALL, (child(),), name=cls.FUNCS[rng.integers(len(cls.FUNCS))])
+        pool.append(e)
+        return e
+
+    @staticmethod
+    def param(rng):
+        d = int(rng.integers(1, 6))
+        v = Fraction(int(rng.integers(2 * d, 9 * d + 1)), d)
+        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
+
+    def test_derivatives_match_recorded_digest(self):
+        rng = np.random.default_rng(20261020)
+        outcomes = []
+        for _ in range(500):
+            e = self.tree(rng, 4, [])
+            d = differentiate(e)
+            once = _outcome(simplify, d)
+            outcomes += [repr(d), str(once)]
+            if not isinstance(once, tuple):
+                outcomes.append(str(_outcome(lambda: simplify(differentiate(simplify(d))))))
+            outcomes.append(str(_outcome(format_expr, e)))
+        for f_text, s_text in self.FAMILIES:
+            for _ in range(2):
+                p = {"a": self.param(rng), "b": self.param(rng)}
+                chain = OperatorChain(parse(f_text.format(**p)), parse(s_text.format(**p)))
+                outcomes += [str(_outcome(chain.entry, n)) for n in range(9)]
+        assert sum(o.startswith("(") for o in outcomes) > 100  # the failing paths run too
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
 def _outcome(fn, *args):
     """repr of the value (signed zeros included), or the exception raised."""
     try:
