@@ -319,33 +319,37 @@ def substitute(e: Expr, letter: str, replacement: Expr) -> Expr:
 # --------------------------------------------------------------------------
 
 def differentiate(e: Expr, letter: str = "z") -> Expr:
-    """Symbolic derivative d e / d letter (unsimplified)."""
+    """Symbolic derivative d e / d letter (unsimplified).  A subtree shared
+    within e is differentiated once: its occurrences share one derivative."""
     try:
-        return _differentiate(e, letter)
+        return _differentiate(e, letter, {})
     except RecursionError:
         raise nested_too_deeply("differentiate") from None
 
 
-def _differentiate(e: Expr, letter: str) -> Expr:
+def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
     if e.kind == CONST:
         return const(0)
     if e.kind == VAR:
         return const(1) if e.name == letter else const(0)
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if e.kind == ADD:
-        return add(*[_differentiate(t, letter) for t in e.args])
-    if e.kind == NEGATE:
-        return negate(_differentiate(e.args[0], letter))
-    if e.kind == MULTIPLY:
+        out = add(*[_differentiate(t, letter, memo) for t in e.args])
+    elif e.kind == NEGATE:
+        out = negate(_differentiate(e.args[0], letter, memo))
+    elif e.kind == MULTIPLY:
         terms = []
         for i, a in enumerate(e.args):
-            terms.append(multiply(*e.args[:i], _differentiate(a, letter), *e.args[i + 1:]))
-        return add(*terms)
-    if e.kind == DIVIDE:
+            terms.append(multiply(*e.args[:i], _differentiate(a, letter, memo), *e.args[i + 1:]))
+        out = add(*terms)
+    elif e.kind == DIVIDE:
         a, b = e.args
-        num = add(multiply(_differentiate(a, letter), b),
-                  negate(multiply(a, _differentiate(b, letter))))
-        return divide(num, power(b, const(2)))
-    if e.kind == POWER:
+        num = add(multiply(_differentiate(a, letter, memo), b),
+                  negate(multiply(a, _differentiate(b, letter, memo))))
+        out = divide(num, power(b, const(2)))
+    elif e.kind == POWER:
         b, c = e.args
         if letter not in variables(c):
             # d(b^c) = c * b^(c-1) * b'
@@ -353,15 +357,19 @@ def _differentiate(e: Expr, letter: str) -> Expr:
                 cm1 = const(c.value - 1)
             else:
                 cm1 = add(c, const(-1))
-            return multiply(c, power(b, cm1), _differentiate(b, letter))
-        # exponent depends on the variable: b^c = exp(c*log b)
-        inner = add(multiply(_differentiate(c, letter), call("log", b)),
-                    divide(multiply(c, _differentiate(b, letter)), b))
-        return multiply(power(b, c), inner)
-    if e.kind == CALL:
+            out = multiply(c, power(b, cm1), _differentiate(b, letter, memo))
+        else:
+            # exponent depends on the variable: b^c = exp(c*log b)
+            inner = add(multiply(_differentiate(c, letter, memo), call("log", b)),
+                        divide(multiply(c, _differentiate(b, letter, memo)), b))
+            out = multiply(power(b, c), inner)
+    elif e.kind == CALL:
         u = e.args[0]
-        return multiply(FUNCTIONS[e.name][1](u), _differentiate(u, letter))
-    raise AssertionError(f"unreachable node kind {e.kind}")
+        out = multiply(FUNCTIONS[e.name][1](u), _differentiate(u, letter, memo))
+    else:
+        raise AssertionError(f"unreachable node kind {e.kind}")
+    memo[id(e)] = out
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -384,11 +392,8 @@ def _differentiate(e: Expr, letter: str) -> Expr:
 # the thread-local _CALL: threads share trees (and ladders), never a
 # memo.  _simplify maps the id of each input node it has rewritten to
 # the result, and each node of the trees passed as ``simplified`` to
-# itself.  _simplify_add, _simplify_multiply, _divide_core and _power_of
-# are memoized on their exact arguments: a node keys on its id, a
-# constant on its type and repr, which keeps 2, 2.0 and -0.0 apart
-# (Expr equality merges them).  An id names one node only while that
-# node lives, so each entry holds its arguments until the call ends.
+# itself.  differentiate shares one derivative among the occurrences of
+# a shared subtree, so that derivative too is simplified once.
 # --------------------------------------------------------------------------
 
 class _Call(threading.local):
@@ -400,26 +405,6 @@ _CALL = _Call()
 #: the exact 1 a product's coefficient starts from: a Fraction times it
 #: is that Fraction, so the (slow) Fraction product is skipped
 _ONE = Fraction(1)
-
-
-def _memoized(build: Callable) -> Callable:
-    """build, memoized in the running simplify call on its exact arguments."""
-    def memoized(*args):
-        memo = _CALL.memo
-        if memo is None:
-            return build(*args)
-        key = (build, *map(_exact_key, args[0] if args[0].__class__ is tuple else args))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (build(*args), args)
-        return hit[0]
-    return memoized
-
-
-def _exact_key(x):
-    if x.__class__ is not Expr:  # an int exponent
-        return x
-    return (type(x.value), repr(x.value)) if x.kind == CONST else id(x)
 
 
 def _in_range(v: Number) -> None:
@@ -445,7 +430,6 @@ def _int_exponent(e: Expr) -> int | None:
     return None
 
 
-@_memoized
 def _power_of(base: Expr, k: int) -> Expr:
     """base^k for an integer k, or base itself when k is 1."""
     return base if k == 1 else Expr(POWER, (base, const(k)))
@@ -525,7 +509,6 @@ def _simplify(e: Expr, memo: dict) -> Expr:
     return out
 
 
-@_memoized
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
     # factor multiset -> [summed coefficient, factors as first seen]
@@ -615,7 +598,6 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
     return _simplify_divide(num_node, den_node)
 
 
-@_memoized
 def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
     """Flatten and fold a product of already-simplified factors.
 
@@ -796,7 +778,6 @@ def _expand_terms(e: Expr) -> list[Expr]:
     return [e]
 
 
-@_memoized
 def _divide_core(num: Expr, den: Expr) -> Expr:
     if _is_const(den, 1):
         return num

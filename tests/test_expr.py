@@ -29,6 +29,7 @@ from funcseries.expr import (
     NEGATE,
     POWER,
     Expr,
+    add,
     const,
     differentiate,
     divide,
@@ -219,6 +220,12 @@ class TestDifferentiate:
 
     def test_sin(self):
         assert simplify(differentiate(parse("sin(z)"))) == parse("cos(z)")
+
+    def test_shared_subtree_has_one_shared_derivative(self):
+        x = parse("sin(z)^2")
+        d = differentiate(add(x, x))
+        assert d.kind == ADD and d.args[0] is d.args[1]
+        assert simplify(d) == simplify(parse("4*sin(z)*cos(z)"))
 
     def test_exponential_base_two(self):
         # d 2^(-z) / dz = -ln(2) * 2^(-z); checked by central differences
