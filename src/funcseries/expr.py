@@ -994,10 +994,14 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
     evaluate could fire runs again point by point through evaluate,
     which raises what it raises, its denominator check first."""
     try:
-        tape = [(_block_step(kind, name, value, inputs), dead)
-                for kind, name, value, inputs, dead in _tape(e)]
+        steps = _tape(e)
     except RecursionError:
         raise nested_too_deeply("evaluate") from None
+    dead: list[list[int]] = [[] for _ in steps]  # the slots each step reads last
+    for i, n in {i: n for n, step in enumerate(steps) for i in step[3]}.items():
+        if i:  # slot 0, the variable's, stays
+            dead[n].append(i)
+    tape = [(_block_step(*step), d) for step, d in zip(steps, dead)]
     out: list[complex] = []
     for start in range(0, len(points), BLOCK):
         block = points[start:start + BLOCK]
@@ -1015,11 +1019,11 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
 
 def _tape(e: Expr) -> list[tuple]:
     """e as plain data that each number model runs its own way: one step
-    ``(kind, name, value, inputs, dead)`` per distinct node (by identity),
-    children first and left to right.  value is a constant's value, an integer
-    power's exponent (its subtree is never read) or None; inputs are the slots
-    read, slot 0 the variable's and slot i step i-1's, and dead those read for
-    the last time.  A RecursionError on a too-deep tree propagates."""
+    ``(kind, name, value, inputs)`` per distinct node (by identity), children
+    first and left to right.  value is a constant's value, an integer power's
+    exponent (its subtree is never read) or None; inputs are the slots read,
+    slot 0 the variable's and slot i step i-1's.  A RecursionError on a
+    too-deep tree propagates."""
     steps: list[tuple] = []
     slots: dict[int, int] = {}
 
@@ -1031,15 +1035,11 @@ def _tape(e: Expr) -> list[tuple]:
             value = _int_exponent(args[1])
             if value is not None:
                 args = args[:1]
-        steps.append((e.kind, e.name, value, tuple(map(slot, args)), []))
+        steps.append((e.kind, e.name, value, tuple(map(slot, args))))
         slots[id(e)] = len(steps)
         return len(steps)
 
     slot(e)
-    last = {i: n for n, step in enumerate(steps) for i in step[3]}  # each slot's last reader
-    for i, n in last.items():
-        if i:  # slot 0, the variable's, stays
-            steps[n][4].append(i)
     return steps
 
 

@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     CompositionOffsetNonzero,
     DivisionBySingularSeries,
+    FuncSeriesError,
     LeadingCoefficientZero,
     SingularAtExpansionPoint,
     nested_too_deeply,
@@ -150,7 +151,11 @@ class TruncatedSeries:
         try:
             return _jet(e, complex(z0), order)
         except DivisionBySingularSeries as exc:
-            raise SingularAtExpansionPoint(f"jet of {e} at {z0}: {exc}") from exc
+            try:
+                where = f"jet of {e}"
+            except (FuncSeriesError, ValueError, RecursionError):  # e has no text form
+                where = "jet"
+            raise SingularAtExpansionPoint(f"{where} at {z0}: {exc}") from exc
         except RecursionError:
             raise nested_too_deeply("build a jet") from None
 
@@ -299,7 +304,7 @@ def _apply_elementary(name: str, inner: TruncatedSeries) -> TruncatedSeries:
 
 def _jet(e: Expr, z0: complex, order: int) -> TruncatedSeries:
     jets = [TruncatedSeries.identity(z0, order)]
-    for kind, name, value, inputs, _ in _tape(e):
+    for kind, name, value, inputs in _tape(e):
         args = [jets[i] for i in inputs]
         if kind == CONST:
             try:

@@ -19,7 +19,7 @@ from funcseries.errors import (
     LeadingCoefficientZero,
     SingularAtExpansionPoint,
 )
-from funcseries.expr import ADD, Expr, const, differentiate, evaluate, parse, simplify, var
+from funcseries.expr import ADD, DIVIDE, Expr, const, differentiate, evaluate, parse, simplify, var
 from funcseries.oracle import (
     TruncatedSeries,
     oracle_coefficients,
@@ -45,6 +45,22 @@ class TestFromExpr:
     def test_pole_at_point_raises(self):
         with pytest.raises(SingularAtExpansionPoint):
             TruncatedSeries.from_expr(parse("1/(1+z)"), -1.0, 3)
+
+    def test_pole_message_names_the_expression(self):
+        with pytest.raises(SingularAtExpansionPoint,
+                           match=r"^jet of 1/\(z \+ 1\) at -1\.0: divisor series"):
+            TruncatedSeries.from_expr(parse("1/(1+z)"), -1.0, 3)
+
+    @pytest.mark.parametrize("run", [
+        # a complex constant has no text form
+        lambda: TruncatedSeries.from_expr(Expr(DIVIDE, (const(1j), parse("z-1"))), 1.0, 2),
+        # simplify rejects the out-of-range 1e400 while formatting the message
+        lambda: oracle_coefficients(parse("1/(z-1) + 1e400"), var("z"), 1.0, 2),
+    ], ids=["complex-constant", "constant-out-of-range"])
+    def test_pole_in_an_expression_without_text_is_still_singular(self, run):
+        with pytest.raises(SingularAtExpansionPoint,
+                           match=r"^jet at 1\.0: divisor series has \(near-\)zero constant term$"):
+            run()
 
     def test_log_branch_point_raises(self):
         with pytest.raises(SingularAtExpansionPoint):
