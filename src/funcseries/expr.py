@@ -997,8 +997,9 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
         steps = _tape(e)
     except RecursionError:
         raise nested_too_deeply("evaluate") from None
-    dead: list[list[int]] = [[] for _ in steps]  # the slots each step reads last
-    for i, n in {i: n for n, step in enumerate(steps) for i in step[3]}.items():
+    last = {i: n for n, step in enumerate(steps) for i in step[3]}  # each slot's last reader
+    dead: list[list[int]] = [[] for _ in steps]
+    for i, n in last.items():
         if i:  # slot 0, the variable's, stays
             dead[n].append(i)
     tape = [(_block_step(*step), d) for step, d in zip(steps, dead)]
