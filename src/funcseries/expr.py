@@ -377,16 +377,22 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 #
 # One bottom-up pass of local rewrites: constant folding, 0/1 identity
 # elimination, flattening of nested add/multiply, merging of repeated
-# integer-power factors, and x/x -> 1 by structural equality.  The rule
-# set is closed under itself, which makes the pass idempotent without
-# fixpoint iteration.
+# integer-power factors, and x/x -> 1 by structural equality.  Each
+# subtree of a result is its own simplified form, but quotients iterate:
+# _divide_core simplifies its rewrite again until a call returns its
+# input unchanged (three calls deep on rational-in-sine's ladder).
 #
 # Node shapes the rules share have one builder each: _power_of (base^k
 # for an integer k), _negated (minus a simplified node) and
 # _rebuild_product (a signed product with repeated bases merged).  They
 # have one reader each: _split_quotient reads a term's numerator and
 # denominator factors and its signed constant, and _split_power reads a
-# factor's base and integer exponent.
+# factor's base and integer exponent.  A builder keeps the node it was
+# given where the rebuild would have the same repr (== is not enough):
+# _rebuild_product a factor whose base met no other, _simplify_add a term
+# that met no like term.  Three rebuilds change the repr and still run:
+# an integral float exponent (x^2.0 -> x^2), a NEGATE term (-(-3*x) ->
+# 3*x) and a non-Fraction coefficient ((-0-1.5j) -> -1.5j).
 #
 # A simplify call memoizes in one dict that lives for that call only, in
 # the thread-local _CALL: threads share trees (and ladders), never a
@@ -511,7 +517,7 @@ def _simplify(e: Expr, memo: dict) -> Expr:
 
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
-    # factor multiset -> [summed coefficient, factors as first seen]
+    # factor multiset -> [summed coefficient, factors as first seen, term to keep]
     like: dict[frozenset, list] = {}
     constant: Number = Fraction(0)
     for a in args:
@@ -528,17 +534,19 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             key = frozenset(Counter(factors).items())
             if key in like:
                 like[key][0] += coeff
+                like[key][2] = None
             else:
-                like[key] = [coeff, factors]
+                keep = t if t.kind != NEGATE and coeff.__class__ is Fraction else None
+                like[key] = [coeff, factors, keep]
 
     terms: list[Expr] = []
-    for coeff, factors in like.values():
+    for coeff, factors, t in like.values():
         if coeff == 0:
             continue
-        if coeff == 1 and len(factors) == 1:
-            terms.append(factors[0])
-        else:
-            terms.append(_simplify_multiply((const(coeff), *factors)))
+        if t is None:
+            t = (factors[0] if coeff == 1 and len(factors) == 1
+                 else _simplify_multiply((const(coeff), *factors)))
+        terms.append(t)
 
     # bring sums of quotients over one denominator so like terms can meet
     if any(_is_quotient(t) for t in terms) and len(terms) + (constant != 0) > 1:
@@ -638,24 +646,31 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
     Repeated bases merge into integer powers (x * x^2 -> x^3), constant
     factors fold into the coefficient, and a coefficient of -1 becomes a
     negation.  A power with a non-integer exponent merges into an earlier
-    entry of that whole power as base, but never starts an entry.
+    entry of that whole power as base, but never starts an entry.  A
+    factor whose base meets no other is kept as it is unless its exponent
+    is not a Fraction (x^2.0 is rebuilt as x^2), as _simplify_add keeps a
+    term that meets no like term unless it is a NEGATE or its coefficient
+    is not a Fraction.
     """
-    merged: list[list] = []  # [base, summed exponent], or [factor, None] kept whole
+    merged: list[list] = []  # [base, summed exponent or None (kept whole), factor to keep]
     open_entries: dict[Expr, list] = {}  # base -> its entry with an exponent
     for f in factors:
         base, k = _split_power(f)
         entry = open_entries.get(base)
         if entry is not None:
             entry[1] += k
+            entry[2] = None
         elif base is f and f.kind == POWER:
-            merged.append([f, None])
+            merged.append([f, None, f])
         else:
-            merged.append(open_entries.setdefault(base, [base, k]))
+            keep = f if base is f or f.args[1].value.__class__ is Fraction else None
+            merged.append(open_entries.setdefault(base, [base, k, keep]))
     rest: list[Expr] = []
-    for base, k in merged:
+    for base, k, f in merged:
         if k == 0:
             continue
-        f = base if k is None else _power_of(base, k)
+        if f is None:
+            f = _power_of(base, k)
         if f.kind == CONST:
             constant = constant * f.value
         else:
