@@ -23,9 +23,11 @@ chain per pair across requests: a process-wide cache keyed by
 and ``0.0`` with ``-0.0``, whose ladders print differently).  It keeps
 whole ladders in least-recently-used order while they hold at most
 :data:`LADDER_CACHE_NODES` nodes; a ladder that alone holds more is not
-kept.  Only built chains are cached, so a failed build is tried again
-on the next call.  :func:`ladder_cache_info` reads its counters.  The
-budget, about 1.6 MB, is sized on the repeat traffic of the benchmark's
+kept.  Each chain counts its own nodes; each lookup, and
+:func:`ladder_cache_info` (its counters), first evicts down to the
+budget, so between them the ladders being built can pass it.  Only built
+chains are cached, so a failed build is tried again on the next call.
+The budget, about 1.6 MB, is sized on the repeat traffic of the benchmark's
 ``bounds-eval`` workload (``BENCH_ladder_cache.json``,
 ``BENCH_simplify_memo.json``): 12000 nodes would serve it faster still
 but raise its peak memory by more than 6%, and traffic that never
@@ -41,7 +43,8 @@ as the total derivative along the curve (z moves with s), i.e.
 
 Everything here is thread-safe.  A chain extends its append-only ladder
 under its own lock and reads built entries without one; the cache sits
-under a module lock, which is never held while a ladder is built.
+under a lock of its own, never held while a ladder is built; a chain
+never calls into the cache, so no lock is taken inside another.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class OperatorChain:
     so simplify is passed both as ``simplified`` and keeps those
     subtrees as they are; entry 0, the raw f, is not passed.  The ladder
     is append-only: new entries are built under the chain's lock, built
-    ones are read without it.
+    ones are read without it.  The chain counts its nodes (f's, then each
+    entry's new ones) for a cache to read, and never calls into one.
     """
 
     def __init__(self, f: Expr, s: Expr):
@@ -93,9 +97,13 @@ class OperatorChain:
             raise ConstantComposite("inner function has identically zero derivative")
         self._entries: list[Expr] = [f]
         self._lock = threading.Lock()
-        #: the _LadderCache holding this chain, and the nodes it counts there
-        self._cache: _LadderCache | None = None
-        self._nodes = 0
+        nodes: dict[tuple, Expr] = {}
+        try:
+            _shared(f, nodes, {})
+        except RecursionError:
+            raise nested_too_deeply("differentiate") from None
+        #: nodes the ladder holds, each counted where it first appears
+        self._nodes = len(nodes)
 
     def entry(self, n: int) -> Expr:
         if n < 0:
@@ -114,9 +122,7 @@ class OperatorChain:
                 _shared(prev, nodes, memo)
                 seen = len(nodes)
                 entries.append(_shared(built, nodes, memo))
-                cache = self._cache
-                if cache is not None:
-                    cache.grew(self, len(nodes) - seen)
+                self._nodes += len(nodes) - seen
         return entries[n]
 
     def __len__(self) -> int:
@@ -159,16 +165,33 @@ class LadderCacheInfo(NamedTuple):
 
 
 class _LadderCache:
-    """(repr(f), repr(s)) -> OperatorChain, LRU over whole ladders."""
+    """(repr(f), repr(s)) -> OperatorChain, LRU over whole ladders.
+
+    Each read (a lookup or info) first sums the counts of the chains it
+    holds and evicts least-recent ladders while the sum is over
+    LADDER_CACHE_NODES.  Between reads the held ladders can grow past it.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._chains: OrderedDict[tuple[str, str], OperatorChain] = OrderedDict()
-        self.hits = self.misses = self.nodes = 0
+        self.hits = self.misses = 0
+
+    def _trim(self) -> int:
+        """Evict least-recent ladders while over budget; the nodes left."""
+        sizes = [chain._nodes for chain in self._chains.values()]
+        held = sum(sizes)
+        for size in sizes:
+            if held <= LADDER_CACHE_NODES:
+                break
+            self._chains.popitem(last=False)
+            held -= size
+        return held
 
     def chain(self, f: Expr, s: Expr) -> OperatorChain:
         key = (repr(f), repr(s))
         with self._lock:
+            self._trim()
             chain = self._chains.get(key)
             if chain is not None:
                 self.hits += 1
@@ -176,34 +199,17 @@ class _LadderCache:
                 return chain
             self.misses += 1
         chain = OperatorChain(f, s)  # raises before anything is cached
-        nodes: dict[tuple, Expr] = {}
-        _shared(f, nodes, {})
         with self._lock:
             if key in self._chains:  # another thread built it meanwhile
                 self._chains.move_to_end(key)
                 return self._chains[key]
-            chain._cache = self
             self._chains[key] = chain
-            self._add(chain, len(nodes))
         return chain
-
-    def grew(self, chain: OperatorChain, nodes: int) -> None:
-        """Count a new entry of chain, if this cache still holds it."""
-        with self._lock:
-            if chain._cache is self:
-                self._add(chain, nodes)
-
-    def _add(self, chain: OperatorChain, nodes: int) -> None:
-        chain._nodes += nodes
-        self.nodes += nodes
-        while self.nodes > LADDER_CACHE_NODES:
-            _, evicted = self._chains.popitem(last=False)
-            evicted._cache = None
-            self.nodes -= evicted._nodes
 
     def info(self) -> LadderCacheInfo:
         with self._lock:
-            return LadderCacheInfo(self.hits, self.misses, len(self._chains), self.nodes)
+            held = self._trim()
+            return LadderCacheInfo(self.hits, self.misses, len(self._chains), held)
 
 
 _LADDERS = _LadderCache()

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import re
-import threading
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -190,8 +189,7 @@ def _coerce(x) -> Expr:
 
 def const(value: Number) -> Expr:
     """Constant node; ints become exact Fractions, real complexes floats.
-    An integer in -64..64 gets one shared node.  Inside a simplify call a
-    float or complex out of double range raises SingularEvaluation."""
+    An integer in -64..64 gets one shared node."""
     if isinstance(value, bool):
         raise TypeError("bool is not a numeric constant")
     if isinstance(value, int):
@@ -202,8 +200,6 @@ def const(value: Number) -> Expr:
         return _SMALL_INTS[value.numerator + 64]
     elif isinstance(value, complex) and value.imag == 0.0:
         value = value.real
-    if value.__class__ is not Fraction and _CALL.memo is not None:  # simplify folded it
-        _in_range(value)
     return Expr(CONST, value=value)
 
 
@@ -394,30 +390,31 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # an integral float exponent (x^2.0 -> x^2), a NEGATE term (-(-3*x) ->
 # 3*x) and a non-Fraction coefficient ((-0-1.5j) -> -1.5j).
 #
-# A simplify call memoizes in one dict that lives for that call only, in
-# the thread-local _CALL: threads share trees (and ladders), never a
-# memo.  _simplify maps the id of each input node it has rewritten to
-# the result, and each node of the trees passed as ``simplified`` to
-# itself.  differentiate shares one derivative among the occurrences of
-# a shared subtree, so that derivative too is simplified once.
+# A simplify call memoizes in one dict that lives for that call only and
+# is passed down: threads share trees (and ladders), never a memo.
+# _simplify maps the id of each input node it has rewritten to the
+# result, and each node of the trees passed as ``simplified`` to itself.
+# differentiate shares one derivative among the occurrences of a shared
+# subtree, so that derivative too is simplified once.
+#
+# A float or complex constant out of double range would print as inf or
+# nan.  _in_range raises on one where simplify reads it (a leaf) or folds
+# it: a sum's constant, a product's coefficient, a constant quotient or
+# power.  Every other folded value reaches _rebuild_product's check.
 # --------------------------------------------------------------------------
-
-class _Call(threading.local):
-    memo: dict | None = None
-
-
-_CALL = _Call()
 
 #: the exact 1 a product's coefficient starts from: a Fraction times it
 #: is that Fraction, so the (slow) Fraction product is skipped
 _ONE = Fraction(1)
 
 
-def _in_range(v: Number) -> None:
-    """Raise SingularEvaluation on a constant simplify must not keep: a float
-    or complex that left double range would print as inf or nan."""
+def _in_range(c: Expr) -> Expr:
+    """The constant c; SingularEvaluation if its value is a float or complex
+    out of double range, which simplify must not keep."""
+    v = c.value
     if isinstance(v, (float, complex)) and not cmath.isfinite(v):
         raise SingularEvaluation(f"constant out of floating-point range: {v}")
+    return c
 
 
 def _is_const(e: Expr, v=None) -> bool:
@@ -476,22 +473,17 @@ def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
         if id(node) not in memo:
             memo[id(node)] = node
             stack.extend(node.args)
-    outer, _CALL.memo = _CALL.memo, memo
     try:
         return _simplify(e, memo)
     except (OverflowError, ZeroDivisionError) as exc:  # a constant over or under range
         raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
     except RecursionError:
         raise nested_too_deeply("simplify") from None
-    finally:
-        _CALL.memo = outer
 
 
 def _simplify(e: Expr, memo: dict) -> Expr:
     if e.kind in (CONST, VAR):
-        if e.kind == CONST:
-            _in_range(e.value)
-        return e
+        return _in_range(e) if e.kind == CONST else e
     out = memo.get(id(e))
     if out is not None:
         return out
@@ -552,11 +544,11 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     if any(_is_quotient(t) for t in terms) and len(terms) + (constant != 0) > 1:
         combined = list(terms)
         if constant != 0:
-            combined.append(const(constant))
+            combined.append(_in_range(const(constant)))
         return _combine_quotients(combined)
 
     if constant != 0 or not terms:
-        terms.append(const(constant))
+        terms.append(_in_range(const(constant)))
     if len(terms) == 1:
         return terms[0]
     return Expr(ADD, tuple(terms))
@@ -678,9 +670,9 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
     if constant == 0:
         return const(0)
     if not rest:
-        return const(constant)
+        return _in_range(const(constant))
     if constant != 1 and constant != -1:
-        rest.insert(0, const(constant))
+        rest.insert(0, _in_range(const(constant)))
     out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
     return Expr(NEGATE, (out,)) if constant == -1 else out
 
@@ -799,7 +791,7 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
     if _is_const(num, 0) and not _is_const(den, 0):
         return const(0)
     if num.kind == CONST and den.kind == CONST and den.value != 0:
-        return const(num.value / den.value)
+        return _in_range(const(num.value / den.value))
     if num == den and not _is_const(num, 0):
         return const(1)
 
@@ -868,7 +860,7 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
             return const(0)
     if base.kind == CONST and n is not None and _fold_fits(base.value, n):
         try:
-            return const(base.value ** n)
+            return _in_range(const(base.value ** n))
         except (ZeroDivisionError, OverflowError):
             pass
     if n is not None:

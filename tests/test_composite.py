@@ -4,6 +4,7 @@ import contextlib
 import gc
 import hashlib
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -455,7 +456,9 @@ class TestLadderCache:
 
     def test_threads_keep_the_node_count_exact_under_eviction(self, ladders, monkeypatch):
         # 8 threads look up and extend 6 pairs with room for about two
-        # ladders; a lost update would leave the held total off the sum
+        # ladders; once they are done, a read trims the cache to the budget
+        # and reports the sum of the held chains' own counts, and each count
+        # is that of a fresh chain built to the same entry
         s = parse("sin(z)")
         fs = [f"1/({a}+z)" for a in range(2, 8)]
         budget = 5 * counted_nodes(parse(fs[0]), s, 4) // 2
@@ -468,13 +471,39 @@ class TestLadderCache:
         with fast_switching(), ThreadPoolExecutor(8) as pool:
             for future in [pool.submit(work, i) for i in range(8)]:
                 future.result(timeout=120)
+        info = ladder_cache_info()
         held = list(ladders._chains.values())
-        assert held and all(chain._cache is ladders for chain in held)
-        assert ladders.nodes == sum(chain._nodes for chain in held) <= budget
+        assert held and info.ladders == len(held)
+        assert info.nodes == sum(chain._nodes for chain in held) <= budget
         for chain in held:
             assert chain._nodes == counted_nodes(chain.f, s, len(chain) - 1)
-        info = ladder_cache_info()
         assert info.hits + info.misses == 8 * 12
+
+    def test_seeded_lookups_and_growth_keep_the_recorded_counters(self, monkeypatch):
+        # lookups, entry builds and growth of chains looked up earlier, out
+        # of lookup order, under four small budgets; the counters read at
+        # every fourth step hash to a digest recorded when the cache still
+        # evicted as each ladder grew, not at the next lookup
+        pairs = [(f, s) for f in ("1/(2+z)", "exp(2*z)", "z^3", "sin(3*z)", "1/(1-z)",
+                                  "cos(z)^2", "log(1+z)") for s in ("sin(z)", "exp(z)")]
+        digest = hashlib.sha256()
+        for budget in (30, 80, 200, 500):
+            monkeypatch.setattr(composite, "LADDER_CACHE_NODES", budget)
+            monkeypatch.setattr(composite, "_LADDERS", composite._LadderCache())
+            rng = random.Random(budget)
+            chains = []
+            for step in range(60):
+                if chains and rng.random() < 0.5:
+                    chain = rng.choice(chains)
+                    chain.entry(min(len(chain) - 1 + rng.randrange(1, 3), 5))
+                else:
+                    f, s = rng.choice(pairs)
+                    chains.append(cached_chain(parse(f), parse(s)))
+                    chains[-1].entry(rng.randrange(4))
+                if step % 4 == 3:
+                    digest.update(repr(tuple(ladder_cache_info())).encode())
+        assert digest.hexdigest() == \
+            "569f92226d1c1e2ee380016b43b095fa972b66522203aee8d23332086690999a"
 
     def test_entries_share_repeated_subtrees(self):
         # each entry shares equal subtrees with itself and the entry before;

@@ -207,6 +207,11 @@ class TestDeepTrees:
         with pytest.raises(FuncSeriesError, match="^expression nested too deeply to evaluate$"):
             evaluate_many(nested(TOO_DEEP), [0.5, 0.25])
 
+    def test_operator_chain(self):
+        with pytest.raises(FuncSeriesError,
+                           match="^expression nested too deeply to differentiate$"):
+            OperatorChain(nested(TOO_DEEP), parse("sin(z)")).entry(1)
+
     def test_moderate_depth_still_works(self):
         e = nested(200)
         assert evaluate(e, 0.5) == 200.5
@@ -279,6 +284,27 @@ class TestSimplify:
         with pytest.raises(SingularEvaluation, match="floating-point range"):
             fold(parse(text))
 
+    @pytest.mark.parametrize("e,folded", [
+        # one input per builder that folds a constant: the sum's constant,
+        # the product's coefficient with and without factors, the constant
+        # quotient, and the power, whose complex fold gives nan without raising
+        (parse("1e308 + 1e308 + z"), "inf"),
+        (parse("1e308*10*z"), "inf"),
+        (parse("1e308*10"), "inf"),
+        (parse("1e308/1e-10"), "inf"),
+        (Expr(POWER, (const(1e200 + 1e200j), const(2))), r"\(nan\+nanj\)"),
+        # the same checks reached through the other builders
+        (parse("1e308*z + 1e308*z"), "inf"),
+        (parse("1/z + 1e308 + 1e308"), "inf"),
+        (parse("2/(1e-310*z) + 1/z^2"), "inf"),
+        (parse("(2/(1e-310*z))/z"), "inf"),
+    ], ids=["sum", "coefficient", "coefficient-alone", "quotient", "power",
+            "like-terms", "sum-of-quotients", "term-quotient", "nested-quotient"])
+    def test_constant_folded_beyond_double_range_is_singular(self, e, folded):
+        with pytest.raises(SingularEvaluation,
+                           match=f"^constant out of floating-point range: {folded}$"):
+            simplify(e)
+
     @pytest.mark.parametrize("text", ["(1/3)^(10^6)", "(1/3)^(10^8)", "1.5^100000"])
     def test_oversized_constant_power_stays_a_power(self, text):
         s = simplify(parse(text))
@@ -338,8 +364,8 @@ class TestHashAndSharedConstants:
 
 
 class TestSimplifyMemo:
-    """simplify memoizes within one call only: no memo is visible to a
-    caller, to another call or to another thread."""
+    """simplify memoizes within one call only: calls in other threads,
+    on the same trees, give what one thread gives."""
 
     @staticmethod
     def ladder_steps():
@@ -357,14 +383,12 @@ class TestSimplifyMemo:
         steps = self.ladder_steps()
         want = [repr(simplify(e, simplified=known)) for e, known in steps]
         got: dict[int, list[str]] = {}
-        memo_seen_outside_a_call = []
 
         def run(i):
             e, known = steps[i]
             got[i] = []
             for _ in range(3):
                 got[i].append(repr(simplify(e, simplified=known)))
-                memo_seen_outside_a_call.append(expr_module._CALL.memo is not None)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -378,14 +402,6 @@ class TestSimplifyMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == {i: [w] * 3 for i, w in enumerate(want)}
-        assert not any(memo_seen_outside_a_call)
-
-    def test_no_memo_outlives_a_call_that_raises(self):
-        with pytest.raises(SingularEvaluation):
-            simplify(parse("2^1100*z + 0.5*z"))
-        assert expr_module._CALL.memo is None
-        simplify(parse("sin(z)/sin(z)"))
-        assert expr_module._CALL.memo is None
 
 
 class TestUnchangedNodesKept:
