@@ -756,3 +756,47 @@ class TestEvaluator:
                 tracemalloc.stop()
         assert peaks[1] < 8 * 2**20
         assert peaks[1] - peaks[0] < 2**20
+
+
+def seeded_inputs():
+    """(label, tree, points): the seeded trees and ladders evaluate is
+    pinned on, in a fixed order."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        e = TestRandomizedTrees.random_tree(rng, int(rng.integers(2, 6)))
+        yield "random", e, TestEvaluator.POINTS
+    rng = np.random.default_rng(20261020)
+    for _ in range(1000):
+        yield "shared", TestRecordedDerivatives.tree(rng, 4, []), TestEvaluator.POINTS
+    for label, f_text, s_text, z0 in CATALOG:
+        chain = OperatorChain(parse(f_text), parse(s_text))
+        for n in range(9):
+            yield label, chain.entry(n), [z0, 0.3, -0.4 + 0.2j]
+
+
+def _bits(w):
+    return w.real.hex(), w.imag.hex()
+
+
+class TestRecordedEvaluations:
+    """evaluate pinned bit for bit on seeded trees and ladders: each value
+    as float.hex pairs, or the type of what it raises.  The message is
+    left out; TestEvaluator pins it against the tape."""
+
+    #: sha256 of the outcomes, one line each, of seeded_inputs(): 3000
+    #: random trees (seed 20261019, depth 2-5) and 1000 depth-4 trees that
+    #: share subtrees (seed 20261020) at each of TestEvaluator.POINTS, then
+    #: CATALOG ladder entries 0-8 at z0, 0.3 and -0.4+0.2j
+    DIGEST = "e6a1f9cc74fb3832889f2187a3bdf5334aeafb6f69371d02f20794ffed10af23"
+
+    def test_outcomes_match_recorded_digest(self):
+        lines = []
+        for _, e, points in seeded_inputs():
+            for z in points:
+                try:
+                    lines.append(repr(_bits(evaluate(e, z))))
+                except FuncSeriesError as exc:
+                    lines.append(type(exc).__name__)
+        assert sum(line == "SingularEvaluation" for line in lines) > 5000
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
