@@ -56,7 +56,7 @@ DIVIDE = "divide"
 POWER = "power"
 CALL = "call"
 
-#: |denominator| below this raises SingularEvaluation
+#: the one singularity floor: a divisor below it in modulus is singular
 DIVISION_FLOOR = 1e-300
 
 #: simplify folds an exact constant power (p/q)^n only while
@@ -252,9 +252,9 @@ def call(fname: str, arg: Expr) -> Expr:
 
 # --------------------------------------------------------------------------
 # supported elementary functions: name -> (numeric rule, derivative builder)
-# The derivative builder returns d(f(u))/du as an expression in u.
-# Extending the function set means adding one row here plus a jet rule in
-# the oracle module.
+# The derivative builder returns d(f(u))/du as an expression in u.  A new
+# function is one row here, its branch flag (membership of PRINCIPAL_BRANCH)
+# and one jet rule in the oracle module.
 # --------------------------------------------------------------------------
 
 FUNCTIONS: dict[str, tuple[Callable[[complex], complex], Callable[[Expr], Expr]]] = {
@@ -267,6 +267,10 @@ FUNCTIONS: dict[str, tuple[Callable[[complex], complex], Callable[[Expr], Expr]]
     "cosh": (cmath.cosh, lambda u: call("sinh", u)),
     "sqrt": (cmath.sqrt, lambda u: divide(const(1), multiply(const(2), call("sqrt", u)))),
 }
+
+#: functions with a branch point at 0 and a cut along the negative reals: their
+#: argument, like a non-integer power's base, goes through _on_principal_branch
+PRINCIPAL_BRANCH = frozenset({"log", "sqrt"})
 
 
 def variables(e: Expr) -> set[str]:
@@ -910,16 +914,15 @@ def _simplify_call(name: str, arg: Expr) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# evaluation
+# evaluation: evaluate, evaluate_many's block steps and the oracle's jets keep
+# one contract: _tape's order, DIVISION_FLOOR and PRINCIPAL_BRANCH
 # --------------------------------------------------------------------------
 
 def _on_principal_branch(u: complex) -> complex:
     # pin the branch cut to the limit from above: -0.0 imaginary parts
     # would otherwise flip log/sqrt/power across the cut depending on
     # how a real value was computed
-    if u.imag == 0.0:
-        return complex(u.real, 0.0)
-    return u
+    return complex(u.real, 0.0) if u.imag == 0.0 else u
 
 
 def evaluate(e: Expr, at: complex) -> complex:
@@ -927,10 +930,12 @@ def evaluate(e: Expr, at: complex) -> complex:
 
     log, sqrt and non-integer powers use the principal branch.
     SingularEvaluation is raised by a constant beyond double range, a
-    division with |denominator| < 1e-300, a power or function that
-    fails, a function value that is not finite, and a result that is
-    not finite.  Other intermediates may be: exp(z - 1e308*10) is 0j at
-    z = 0.  A non-finite point raises ValueError.
+    division with |denominator| < DIVISION_FLOOR, a power or function
+    that fails, a function value that is not finite, and a result that
+    is not finite; of several, the first in tape order (a quotient's
+    numerator before its denominator).  Other intermediates may be
+    infinite: exp(z - 1e308*10) is 0j at z = 0.  A non-finite point
+    raises ValueError.
     """
     z = complex(at)
     if not cmath.isfinite(z):
@@ -962,10 +967,10 @@ def _eval(e: Expr, z: complex) -> complex:
             out *= _eval(a, z)
         return out
     if e.kind == DIVIDE:
-        den = _eval(e.args[1], z)
+        num, den = _eval(e.args[0], z), _eval(e.args[1], z)
         if abs(den) < DIVISION_FLOOR:
             raise SingularEvaluation(f"division by ~0 at z={z}")
-        return _eval(e.args[0], z) / den
+        return num / den
     if e.kind == POWER:
         base = _eval(e.args[0], z)
         n = _int_exponent(e.args[1])
@@ -977,7 +982,7 @@ def _eval(e: Expr, z: complex) -> complex:
             raise SingularEvaluation(f"power undefined at z={z}: {exc}") from exc
     if e.kind == CALL:
         u = _eval(e.args[0], z)
-        if e.name in ("log", "sqrt"):
+        if e.name in PRINCIPAL_BRANCH:
             u = _on_principal_branch(u)
         try:
             out = FUNCTIONS[e.name][0](u)
@@ -998,8 +1003,9 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
 
     Each step of the tree's tape is bound once to a closure that runs it
     over a block of at most BLOCK points.  A block where a check of
-    evaluate could fire runs again point by point through evaluate,
-    which raises what it raises, its denominator check first."""
+    evaluate could fire (a divisor under DIVISION_FLOOR, a value that is
+    not finite) runs again point by point through evaluate, so the first
+    failing point raises evaluate's exception, the first in tape order."""
     try:
         steps = _tape(e)
     except RecursionError:
@@ -1028,10 +1034,11 @@ def evaluate_many(e: Expr, points: list) -> list[complex]:
 def _tape(e: Expr) -> list[tuple]:
     """e as plain data that each number model runs its own way: one step
     ``(kind, name, value, inputs)`` per distinct node (by identity), children
-    first and left to right.  value is a constant's value, an integer power's
-    exponent (its subtree is never read) or None; inputs are the slots read,
-    slot 0 the variable's and slot i step i-1's.  A RecursionError on a
-    too-deep tree propagates."""
+    first and left to right; every route reports the first step to fail in
+    this order (a quotient's numerator before its denominator).  value is a
+    constant's value, an integer power's exponent (its subtree is never
+    read) or None; inputs are the slots read, slot 0 the variable's and
+    slot i step i-1's.  A RecursionError on a too-deep tree propagates."""
     steps: list[tuple] = []
     slots: dict[int, int] = {}
 
@@ -1072,7 +1079,7 @@ def _block_step(kind: str, name: str, value, inputs: tuple[int, ...]) -> Callabl
         return lambda v: [x ** value for x in v[a]]
     if kind == POWER:
         return lambda v: [x ** y for x, y in zip(map(_on_principal_branch, v[a]), v[inputs[1]])]
-    rule, pin = FUNCTIONS[name][0], name in ("log", "sqrt")
+    rule, pin = FUNCTIONS[name][0], name in PRINCIPAL_BRANCH
     return lambda v: _finite(list(map(rule, map(_on_principal_branch, v[a]) if pin else v[a])))
 
 

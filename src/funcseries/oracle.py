@@ -2,11 +2,12 @@
 
 This module is the independent cross-check for the expansion engine.
 It never touches symbolic differentiation or the composite-derivative
-ladder: Taylor data is produced by running the tree's evaluation tape
-(``expr._tape``, the one :func:`funcseries.expr.evaluate_many` runs) with
-truncated-series arithmetic (:class:`TruncatedSeries`) and jets of the
-elementary functions, and expansion coefficients are recovered by
-:func:`oracle_coefficients`, which matches coefficients in the sum
+ladder: it runs the tree's evaluation tape (``expr._tape``, as
+:func:`funcseries.expr.evaluate_many` does) with truncated-series
+arithmetic (:class:`TruncatedSeries`) and jets of the elementary
+functions, under the evaluation contract stated in :mod:`funcseries.expr`
+(tape order, ``DIVISION_FLOOR``, ``PRINCIPAL_BRANCH``; a branch point is
+singular).  :func:`oracle_coefficients` then matches coefficients in
 
     F(t) = sum_n c_n * u(t)^n,        u = inner series minus its constant
 
@@ -22,9 +23,8 @@ Products, quotients and compositions run on three small numpy kernels
 module.  The jets are also the Taylor data for the inverse-composite
 route in :mod:`funcseries.series`.  An elementary jet out of double
 range raises SingularAtExpansionPoint; arithmetic out of range gives
-inf or nan without a warning, which both routes reject.  All values are
-complex128 and instances are immutable, so everything here can run
-concurrently.
+inf or nan without a warning, which both routes reject.  Values are
+complex128 and immutable, so everything here can run concurrently.
 
 With :mod:`funcseries.teixeira` this is the only module that imports
 numpy, so the rest of the package imports it lazily: the package
@@ -57,16 +57,15 @@ from .expr import (
     ADD,
     CONST,
     DIVIDE,
+    DIVISION_FLOOR,
     MULTIPLY,
     NEGATE,
     POWER,
+    PRINCIPAL_BRANCH,
     Expr,
     _on_principal_branch,
     _tape,
 )
-
-#: |constant term| below this makes a series unusable as a divisor
-SERIES_DIVISION_FLOOR = 1e-300
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +194,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if abs(other.coefficients[0]) < SERIES_DIVISION_FLOOR:
+        if abs(other.coefficients[0]) < DIVISION_FLOOR:
             raise DivisionBySingularSeries(
                 "divisor series has (near-)zero constant term")
         return TruncatedSeries(
@@ -252,24 +251,19 @@ def _cycle_jet(values: list[complex], order: int) -> np.ndarray:
 
 
 def _elementary_jet(name: str, v: complex, order: int) -> np.ndarray:
+    if name in PRINCIPAL_BRANCH:
+        if abs(v) < DIVISION_FLOOR:
+            raise SingularAtExpansionPoint(f"{name} at 0")
+        v = _on_principal_branch(v)
     if name == "exp":
         return _cycle_jet([cmath.exp(v)], order)
-    if name == "sin":
+    if name in ("sin", "cos"):
         s, c = cmath.sin(v), cmath.cos(v)
-        return _cycle_jet([s, c, -s, -c], order)
-    if name == "cos":
-        s, c = cmath.sin(v), cmath.cos(v)
-        return _cycle_jet([c, -s, -c, s], order)
-    if name == "sinh":
+        return _cycle_jet([s, c, -s, -c] if name == "sin" else [c, -s, -c, s], order)
+    if name in ("sinh", "cosh"):
         s, c = cmath.sinh(v), cmath.cosh(v)
-        return _cycle_jet([s, c], order)
-    if name == "cosh":
-        s, c = cmath.sinh(v), cmath.cosh(v)
-        return _cycle_jet([c, s], order)
+        return _cycle_jet([s, c] if name == "sinh" else [c, s], order)
     if name == "log":
-        if abs(v) < SERIES_DIVISION_FLOOR:
-            raise SingularAtExpansionPoint("log at 0")
-        v = _on_principal_branch(v)
         out = np.empty(order + 1, dtype=np.complex128)
         out[0] = cmath.log(v)
         sign = 1.0
@@ -280,9 +274,6 @@ def _elementary_jet(name: str, v: complex, order: int) -> np.ndarray:
             vk *= v
         return out
     if name == "sqrt":
-        if abs(v) < SERIES_DIVISION_FLOOR:
-            raise SingularAtExpansionPoint("sqrt at 0")
-        v = _on_principal_branch(v)
         out = np.empty(order + 1, dtype=np.complex128)
         out[0] = cmath.sqrt(v)
         for k in range(1, order + 1):
@@ -345,7 +336,7 @@ def oracle_coefficients(f: Expr, s: Expr, z0: complex, order: int) -> list[compl
     F = TruncatedSeries.from_expr(f, z0, order)
     S = TruncatedSeries.from_expr(s, z0, order)
     u = S.shift_to_zero()
-    if order >= 1 and abs(u.coefficients[1]) < SERIES_DIVISION_FLOOR:
+    if order >= 1 and abs(u.coefficients[1]) < DIVISION_FLOOR:
         raise LeadingCoefficientZero("inner series has zero linear coefficient")
 
     residual = F.coefficients.copy()

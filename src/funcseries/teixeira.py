@@ -48,7 +48,8 @@ import math
 import numpy as np
 
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
-from .expr import Expr, Record, differentiate, evaluate, evaluate_many, sole_variable
+from .expr import (DIVISION_FLOOR, Expr, Record, differentiate, evaluate, evaluate_many,
+                   sole_variable)
 from .series import check_upto, horner
 
 #: |B_n| below this counts as an absent negative-power term
@@ -144,7 +145,7 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
     tp = _values_on(differentiate(theta, letter), zs)
     th = _values_on(theta, zs)
     outer_min = float(np.abs(th).min())
-    if outer_min < 1e-300:
+    if outer_min < DIVISION_FLOOR:
         raise QuadratureSingularity("theta vanishes on the outer contour")
     a = [_contour_sum(outer.radius / outer.points, fv * tp * phase / th, "outer")]
     if order:  # A_0 alone needs no f'

@@ -1,5 +1,6 @@
 """Expression tree: parsing, printing, differentiation, simplification, evaluation."""
 
+import cmath
 import hashlib
 import math
 import sys
@@ -725,13 +726,27 @@ class TestEvaluator:
             evaluate_many(parse("exp(z)/(z-2)"), points)
         assert walked == points[256:301]
 
-    def test_denominator_checked_before_numerator(self):
-        # at 0 the numerator fails too, but evaluate meets the zero
-        # denominator first
+    def test_numerator_checked_before_denominator(self):
+        # at 0 the denominator is ~0 too, but in tape order the numerator
+        # fails first, as in the jets
         e = parse("log(z)/z")
-        with pytest.raises(SingularEvaluation, match=r"^division by ~0 at z=0j$"):
+        message = r"^log undefined at z=0j: math domain error$"
+        with pytest.raises(SingularEvaluation, match=message):
+            evaluate(e, 0.0)
+        with pytest.raises(SingularEvaluation, match=message):
             evaluate_many(e, [0.5, 0.0])
         self.assert_same(e, [0.5, 0.0, 0.25])
+
+    def test_tape_walk_matches_evaluate(self):
+        # values bit for bit and messages, on every seeded input
+        compared = raised = 0
+        for label, e, points in seeded_inputs():
+            for z in points:
+                want = _outcome(lambda: _bits(evaluate(e, z)))
+                assert _outcome(lambda: _bits(tape_walk(e, z))) == want, (label, e, z)
+                compared += 1
+                raised += isinstance(want, tuple)
+        assert compared == 32189 and raised == 5284
 
     def test_shared_subtrees_match_evaluate(self):
         u = parse("sin(z) + 1/(z-1)")
@@ -776,6 +791,53 @@ def seeded_inputs():
 
 def _bits(w):
     return w.real.hex(), w.imag.hex()
+
+
+def tape_walk(e, at):
+    """evaluate(e, at) as a loop over expr._tape: the steps in order, each
+    with _eval's check and message for its node.  The tape's one-point
+    reference."""
+    z = complex(at)
+    v = [z]
+    for kind, name, value, inputs in expr_module._tape(e):
+        a = [v[i] for i in inputs]
+        if kind == CONST:
+            try:
+                out = complex(value)
+            except OverflowError as exc:
+                raise SingularEvaluation(f"constant out of floating-point range: {exc}")
+        elif kind == ADD:
+            out = sum(a, complex(0))
+        elif kind == NEGATE:
+            out = -a[0]
+        elif kind == MULTIPLY:
+            out = complex(1)
+            for x in a:
+                out *= x
+        elif kind == DIVIDE:
+            if abs(a[1]) < expr_module.DIVISION_FLOOR:
+                raise SingularEvaluation(f"division by ~0 at z={z}")
+            out = a[0] / a[1]
+        elif kind == POWER:
+            try:
+                out = (a[0] ** value if value is not None
+                       else expr_module._on_principal_branch(a[0]) ** a[1])
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                raise SingularEvaluation(f"power undefined at z={z}: {exc}")
+        else:
+            u = a[0]
+            if name in expr_module.PRINCIPAL_BRANCH:
+                u = expr_module._on_principal_branch(u)
+            try:
+                out = expr_module.FUNCTIONS[name][0](u)
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise SingularEvaluation(f"{name} undefined at z={z}: {exc}")
+            if not cmath.isfinite(out):
+                raise SingularEvaluation(f"{name} non-finite at z={z}")
+        v.append(out)
+    if not cmath.isfinite(v[-1]):
+        raise SingularEvaluation(f"non-finite value at z={z}")
+    return v[-1]
 
 
 class TestRecordedEvaluations:
