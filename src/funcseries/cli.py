@@ -24,12 +24,8 @@ JSON key order is fixed.
 modules, and ``plot`` the csv module, when they run, so ``expand``,
 ``plot`` and ``remainder`` start without loading numpy.
 
-A catalog ``check`` (no ``--f``/``--s``; each pair at its own point, so
-``--z0`` is ignored) builds its pairs' ladders in up to one forked worker
-process per CPU while this process imports numpy; stdout, stderr and
-the exit code are byte for byte those of building them one after
-another, which it does on one CPU, for a single pair, or when other
-threads are running.  No option selects this.
+A catalog ``check`` (no ``--f``/``--s``) checks each pair at its own
+point, so ``--z0`` is ignored.
 
 A config file of ``key=value`` lines (keys named like the long flags,
 e.g. ``order=6``) supplies defaults; explicit flags win.
@@ -38,12 +34,9 @@ e.g. ``order=6``) supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import os
 import sys
-import threading
 
 from .errors import (
     CompositeDerivativeZero,
@@ -158,8 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compare the engine's coefficients with the jet oracle's. "
                     "--f and --s together check that pair at --z0. Without them, "
                     "each catalog pair is checked at its own expansion point, so "
-                    "--z0 is ignored, and the pairs' ladders are built in up to "
-                    "one worker process per CPU.")
+                    "--z0 is ignored.")
     common(p, False)
     p.add_argument("--corrupt", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check, order=10)
@@ -187,13 +179,9 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
-    if at + 1 == len(argv):  # no path: argparse reports the usage error
+    if at + 2 >= len(argv):  # no path or no command: argparse reports the usage error
         return argv
-    path = argv[at + 1]
-    head, tail = argv[: at + 2], argv[at + 2:]
-    if not tail:
-        return argv
-    command, rest = tail[0], tail[1:]
+    path, rest = argv[at + 1], argv[at + 3:]
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -203,8 +191,9 @@ def _apply_config(argv: list[str]) -> list[str]:
             key, _, value = line.partition("=")
             flag = "--" + key.strip().replace("_", "-")
             if flag not in rest:
-                injected += [flag, value.strip()]
-    return head + [command] + injected + rest
+                # one --key=value token, so a value may start with "-"
+                injected.append(f"{flag}={value.strip()}")
+    return argv[: at + 3] + injected + rest
 
 
 def _request_from(args, f: Expr, s: Expr, z0: complex) -> ExpansionRequest:
@@ -270,29 +259,23 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _engine_coefficients(args, pair) -> tuple[tuple[complex, ...], int | None]:
-    """The engine's coefficients and terminated_at for one check pair.
-
-    A catalog check runs this in worker processes, so it takes and returns
-    only values that pickle.
-    """
-    _, f_text, s_text, z0 = pair
-    exp = expand(_request_from(args, parse(f_text), parse(s_text), z0))
-    return exp.coefficients, exp.terminated_at
-
-
-def _check_report(args, pairs, engine_results) -> int:
-    """Compare each pair's engine result, read in order from engine_results,
-    with the oracle's jets and write the report."""
+def cmd_check(args) -> int:
+    if args.f is not None and args.s is None:
+        raise ParseError("--s is required when --f is given", 0)
+    if args.s is not None and args.f is None:
+        raise ParseError("--f is required when --s is given", 0)
     from .oracle import oracle_coefficients
 
+    pairs = CATALOG if args.f is None else [("user", args.f, args.s, args.z0)]
     reports = []
     worst = 0.0
-    for (label, f_text, s_text, z0), (coefficients, terminated_at) in zip(pairs, engine_results):
-        engine = list(coefficients)
+    for label, f_text, s_text, z0 in pairs:
+        f, s = parse(f_text), parse(s_text)
+        exp = expand(_request_from(args, f, s, z0))
+        engine = list(exp.coefficients)
         if args.corrupt is not None and 0 <= args.corrupt < len(engine):
             engine[args.corrupt] += 1.0
-        oracle = oracle_coefficients(parse(f_text), parse(s_text), z0, args.order)
+        oracle = oracle_coefficients(f, s, z0, args.order)
         deviation = max(abs(e - o) / max(1.0, abs(o))
                         for e, o in zip(engine, oracle))
         worst = max(worst, deviation)
@@ -305,7 +288,7 @@ def _check_report(args, pairs, engine_results) -> int:
             "engine": [[c.real, c.imag] for c in engine],
             "oracle": [[c.real, c.imag] for c in oracle],
             "max_relative_deviation": deviation,
-            "terminated_at": terminated_at,
+            "terminated_at": exp.terminated_at,
         })
     ok = worst < CHECK_TOL
     out = {"pairs": reports, "max_relative_deviation": worst,
@@ -316,39 +299,6 @@ def _check_report(args, pairs, engine_results) -> int:
               f"exceeds {CHECK_TOL:g}", file=sys.stderr)
         return 5
     return 0
-
-
-def cmd_check(args) -> int:
-    if args.f is not None and args.s is None:
-        raise ParseError("--s is required when --f is given", 0)
-    if args.s is not None and args.f is None:
-        raise ParseError("--f is required when --s is given", 0)
-    pairs = CATALOG if args.f is None else [("user", args.f, args.s, args.z0)]
-    engine_of = functools.partial(_engine_coefficients, args)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(pairs), cpus)
-    # forking is unsafe while another thread may hold a lock the worker needs
-    if workers == 1 or threading.active_count() > 1:
-        return _check_report(args, pairs, map(engine_of, pairs))
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # Forked workers start with funcseries already imported; spawned ones
-    # would pay interpreter start-up and these imports again, which costs
-    # most of the gain.  A forked worker flushes the stdio buffers it
-    # inherits when it exits, so they must be empty now.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        # the workers build the ladders while this process imports numpy
-        return _check_report(args, pairs, pool.map(engine_of, pairs))
-    except BrokenProcessPool as exc:
-        raise FuncSeriesError(f"a check worker process stopped: {exc}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def cmd_remainder(args) -> int:

@@ -20,7 +20,7 @@ class ParseError(FuncSeriesError):
 
     def __reduce__(self):
         # pickle rebuilds an exception from its args, which here are not the
-        # constructor's; a check worker process returns its errors by pickle
+        # constructor's; an error crosses from one process to another by pickle
         return type(self), (self.message, self.position)
 
 

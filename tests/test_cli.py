@@ -1,20 +1,15 @@
 """Command-line interface: reports, exit codes, determinism."""
 
-import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import math
-import multiprocessing
-import os
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from funcseries import cli
 from funcseries.cli import main
 from funcseries.expr import parse
 from funcseries.series import ExpansionRequest, expand
@@ -198,55 +193,6 @@ class TestCheck:
         assert "disagreement" in err
         assert json.loads(out)["ok"] is False
 
-    def test_help_says_a_catalog_check_ignores_z0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--help"])
-        assert exc.value.code == 0
-        assert "--z0 is ignored" in " ".join(capsys.readouterr().out.split())
-
-
-def child_pids() -> list[int]:
-    """Processes, zombies included, whose parent is this one (read from /proc)."""
-    found = []
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            state_and_ppid = stat.read_text().rpartition(")")[2].split()[:2]
-        except OSError:  # the process ended meanwhile
-            continue
-        if int(state_and_ppid[1]) == os.getpid():
-            found.append(int(stat.parent.name))
-    return found
-
-
-def check_on_cpus(capsys, monkeypatch, cpus, *argv):
-    """A check run as if this process may use `cpus` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    return run_cli(capsys, "check", *argv)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of each process pool that cmd_check makes."""
-    made = []
-
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            made.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    return made
-
-
-def _die(args, pair):
-    os._exit(1)
-
-
-class TestPooledCheck:
-    """A catalog check builds its ladders in worker processes, with the
-    output of building them in-process."""
-
     @pytest.mark.parametrize("argv,want", [
         (("--order", "2"), 0),
         (("--order", "8"), 0),
@@ -254,46 +200,18 @@ class TestPooledCheck:
         (("--order", "2", "--tol-deriv-zero", "1e9"), 3),
         (("--order", "-1"), 1),
     ])
-    def test_same_output_as_one_worker(self, capsys, monkeypatch, pools, argv, want):
-        pooled = check_on_cpus(capsys, monkeypatch, 2, *argv)
-        assert pools == [2]
-        assert pooled == check_on_cpus(capsys, monkeypatch, 1, *argv)
-        assert pools == [2]
-        code, out, err = pooled
+    def test_catalog_exit_code_and_streams(self, capsys, argv, want):
+        # a failure is one stderr line; a report is written only once every pair is done
+        code, out, err = run_cli(capsys, "check", *argv)
         assert code == want
         assert err.count("\n") == (code != 0)
         assert (out == "") is (code in (1, 3))
-        assert not multiprocessing.active_children() and not child_pids()
 
-    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch, pools):
-        monkeypatch.setattr(cli, "_engine_coefficients", _die)
-        code, out, err = check_on_cpus(capsys, monkeypatch, 2, "--order", "2")
-        assert pools == [2]
-        assert (code, out) == (1, "")
-        assert err.startswith("error: a check worker process stopped: ")
-        assert err.count("\n") == 1
-        assert not multiprocessing.active_children() and not child_pids()
-
-    def test_no_pool_while_another_thread_runs(self, capsys, monkeypatch, pools):
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            threaded = check_on_cpus(capsys, monkeypatch, 2, "--order", "2")
-        finally:
-            release.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        assert pools == []
-        assert threaded == check_on_cpus(capsys, monkeypatch, 1, "--order", "2")
-
-    def test_single_pair_or_unknown_affinity_runs_in_process(self, capsys, monkeypatch,
-                                                             pools):
-        pair = ("--f", "exp(z)", "--s", "z", "--order", "3")
-        assert check_on_cpus(capsys, monkeypatch, 2, *pair)[0] == 0
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert run_cli(capsys, "check", "--order", "2")[0] == 0
-        assert pools == []
+    def test_help_says_a_catalog_check_ignores_z0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert "--z0 is ignored" in " ".join(capsys.readouterr().out.split())
 
 
 class TestRemainder:
@@ -395,6 +313,19 @@ class TestConfigFile:
         assert code == 0
         report = json.loads(out)
         assert len(report["coefficients"]) == 3 and report["f"] == "exp(z)"
+
+
+    def test_value_starting_with_minus(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f=-z^2\ns=z\norder=2\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "expand")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["f"] == "-z^2"
+
+    def test_config_without_command_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f=exp(z)\n")
+        assert "required: command" in usage_error(capsys, "--config", str(cfg))
 
 
 class TestInputErrors:

@@ -1,4 +1,4 @@
-"""Every FuncSeriesError pickles, as a check worker process returns it."""
+"""Every FuncSeriesError pickles, as it must to cross from one process to another."""
 
 import multiprocessing
 import pickle

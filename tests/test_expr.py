@@ -38,6 +38,8 @@ from funcseries.expr import (
     evaluate,
     evaluate_many,
     format_expr,
+    multiply,
+    negate,
     parse,
     simplify,
     substitute,
@@ -448,6 +450,26 @@ class TestUnchangedNodesKept:
         monkeypatch.setattr(Expr, "__init__", counted)
         chain.entry(10)
         assert count[0] <= 17200
+
+
+class TestOperators:
+    #: each Expr operator, with a number on either side, beside the tree
+    #: its constructor builds
+    CASES = {
+        "2 + z": (lambda: 2 + Z, lambda: add(const(2), Z)),
+        "2 - z": (lambda: 2 - Z, lambda: add(const(2), negate(Z))),
+        "2 * z": (lambda: 2 * Z, lambda: multiply(const(2), Z)),
+        "z / 2": (lambda: Z / 2, lambda: divide(Z, const(2))),
+        "2 / z": (lambda: 2 / Z, lambda: divide(const(2), Z)),
+        "-z": (lambda: -Z, lambda: negate(Z)),
+        "const(7) / 6": (lambda: const(7) / 6, lambda: const(Fraction(7, 6))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_operator_builds_the_constructor_tree(self, case):
+        built, want = (make() for make in self.CASES[case])
+        # repr, not ==: equality merges 2 with 2.0
+        assert repr(built) == repr(want)
 
 
 class TestFormat:

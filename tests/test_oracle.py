@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import operator
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from funcseries.errors import (
 from funcseries.expr import ADD, DIVIDE, Expr, const, differentiate, evaluate, parse, simplify, var
 from funcseries.oracle import (
     TruncatedSeries,
+    _series_div,
     oracle_coefficients,
 )
 
@@ -97,6 +99,30 @@ class TestArithmetic:
         num = TruncatedSeries([1.0, 0.0, 0.0])
         den = TruncatedSeries([1.0, 1.0, 0.0])
         np.testing.assert_allclose((num / den).coefficients, [1, -1, 1], atol=1e-15)
+
+    A = np.array([1.5 - 0.5j, 2.0, -1.0 + 0.25j, 0.5])
+    B = np.array([2.0 + 1.0j, -1.0, 0.5, 3.0j])
+
+    def test_subtract_and_negate(self):
+        a, b = TruncatedSeries(self.A), TruncatedSeries(self.B)
+        np.testing.assert_array_equal((a - b).coefficients, self.A - self.B)
+        np.testing.assert_array_equal((-a).coefficients, -self.A)
+        np.testing.assert_array_equal((3 - a).coefficients, np.r_[3, 0, 0, 0] - self.A)
+
+    def test_number_over_series(self):
+        b = TruncatedSeries(self.B)
+        np.testing.assert_array_equal(
+            (2 / b).coefficients, _series_div(np.r_[2, 0, 0, 0].astype(complex), self.B, 3))
+
+    def test_scalar_multiply_either_side(self):
+        a = TruncatedSeries(self.A)
+        np.testing.assert_array_equal((a * 2j).coefficients, self.A * 2j)
+        np.testing.assert_array_equal((2j * a).coefficients, self.A * 2j)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_order_mismatch_raises(self, op):
+        with pytest.raises(ValueError, match="order mismatch"):
+            op(TruncatedSeries(self.A), TruncatedSeries(self.B[:2]))
 
     def test_compose_exp_with_2t(self):
         exp_jet = TruncatedSeries.from_expr(parse("exp(z)"), 0.0, 2)

@@ -314,6 +314,10 @@ class TestInverseCompositeRoute:
                            match=r"^exp jet at \(22026\.465794806718\+0j\): math range error$"):
             inverse_composite_expand(parse("exp(exp(z))"), parse("z"), parse("w"), 10, 3)
 
+    def test_singular_inner_function_at_the_point(self):
+        with pytest.raises(SingularAtExpansionPoint, match=r"^inverse route at z0=0j: "):
+            inverse_composite_expand(parse("exp(z)"), parse("1/z"), parse("1/s"), 0.0, 3)
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_coefficients_are_a_singularity(self):
         # sqrt's jet at 1e-290 overflows in the arithmetic, without a warning
