@@ -21,14 +21,16 @@ configuration: floats print as their shortest round-trip decimal and
 JSON key order is fixed.
 
 ``check`` and ``teixeira`` import the numpy-backed oracle and quadrature
-modules, and ``plot`` the csv module, when they run, so ``expand``,
-``plot`` and ``remainder`` start without loading numpy.
+modules when they run, so ``expand``, ``plot`` and ``remainder`` start
+without loading numpy.
 
 A catalog ``check`` (no ``--f``/``--s``) checks each pair at its own
 point, so ``--z0`` is ignored.
 
-A config file of ``key=value`` lines (keys named like the long flags,
-e.g. ``order=6``) supplies defaults; explicit flags win.
+A flag is ``--name value`` or ``--name=value``, never abbreviated.  A
+config file of ``key=value`` lines (keys named like the flags), given
+before the command as ``--config path`` or ``--config=path``, supplies
+each flag the command line omits.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _emit(text: str, out_path: str | None):
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="funcseries",
+        prog="funcseries", allow_abbrev=False,
         description="Expand a function as a power series in another function.")
     top.add_argument("--config", default=None,
                      help="key=value file of flag defaults")
@@ -136,11 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-deriv-zero", type=float, default=DERIVATIVE_ZERO_TOL)
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("expand", help="JSON coefficient report")
+    p = sub.add_parser("expand", allow_abbrev=False, help="JSON coefficient report")
     common(p, True)
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("plot", help="CSV of f and partial sums on a real grid")
+    p = sub.add_parser("plot", allow_abbrev=False, help="CSV of f and partial sums on a real grid")
     common(p, True)
     p.add_argument("--grid", type=_parse_grid, default=(-1.2, 1.2, 121),
                    help="real grid as start:stop:count")
@@ -151,19 +153,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compare the engine's coefficients with the jet oracle's. "
                     "--f and --s together check that pair at --z0. Without them, "
                     "each catalog pair is checked at its own expansion point, so "
-                    "--z0 is ignored.")
+                    "--z0 is ignored.", allow_abbrev=False)
     common(p, False)
     p.add_argument("--corrupt", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check, order=10)
 
-    p = sub.add_parser("remainder", help="measured error and bounds at a point")
+    p = sub.add_parser("remainder", allow_abbrev=False, help="measured error and bounds at a point")
     common(p, True)
     p.add_argument("--z", type=_parse_complex, default=None, required=True,
                    help="evaluation point, real or re,im")
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=cmd_remainder)
 
-    p = sub.add_parser("teixeira", help="two-sided contour coefficients")
+    p = sub.add_parser("teixeira", allow_abbrev=False, help="two-sided contour coefficients")
     common(p, True)
     p.add_argument("--quadrature-points", type=int, default=512)
     p.add_argument("--contour", type=_parse_contour, action=_AppendContour, default=None,
@@ -175,13 +177,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file values in as defaults (before explicit flags)."""
-    if "--config" not in argv:
+    """Splice config-file values in as defaults, for the flags the command line does not name."""
+    if not argv or argv[0].split("=", 1)[0] != "--config":  # argparse reads it only first
         return argv
-    at = argv.index("--config")
-    if at + 2 >= len(argv):  # no path or no command: argparse reports the usage error
+    argv = argv[0].split("=", 1) + argv[1:]  # --config=path: --config path
+    if len(argv) < 3:  # no path or no command: argparse reports the usage error
         return argv
-    path, rest = argv[at + 1], argv[at + 3:]
+    path, rest = argv[1], argv[3:]
+    given = {tok.split("=", 1)[0] for tok in rest}  # --name and --name=value both name --name
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -190,10 +193,10 @@ def _apply_config(argv: list[str]) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             flag = "--" + key.strip().replace("_", "-")
-            if flag not in rest:
+            if flag not in given:
                 # one --key=value token, so a value may start with "-"
                 injected.append(f"{flag}={value.strip()}")
-    return argv[: at + 3] + injected + rest
+    return argv[:3] + injected + rest
 
 
 def _request_from(args, f: Expr, s: Expr, z0: complex) -> ExpansionRequest:
@@ -231,15 +234,11 @@ def _values_or_blank(e: Expr, zs: list[float]) -> list[complex | None]:
 
 
 def cmd_plot(args) -> int:
-    import csv
-    import io
-
     exp = _expansion_from(args)
     zs = linspace(*args.grid)
     f_values, s_values = _values_or_blank(exp.f, zs), _values_or_blank(exp.s, zs)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["z", "f"] + [f"S{k}" for k in range(exp.order + 1)])
+    # every field is a name, repr(float) text or blank: none needs CSV quoting
+    rows = [["z", "f"] + [f"S{k}" for k in range(exp.order + 1)]]
     for z, f_at, s_at in zip(zs, f_values, s_values):
         row = [_fmt_float(z), "" if f_at is None else _fmt_float(f_at.real)]
         if s_at is None:
@@ -254,8 +253,8 @@ def cmd_plot(args) -> int:
                 total = total + c * u_power
                 sums.append(total)
             row += [_fmt_float(v.real) for v in sums]
-        writer.writerow(row)
-    _emit(buffer.getvalue(), args.out)
+        rows.append(row)
+    _emit("".join(",".join(row) + "\n" for row in rows), args.out)
     return 0
 
 

@@ -190,19 +190,17 @@ def partial_sum(exp: SeriesExpansion, z: complex, upto: int | None = None) -> co
 def detect_termination(coefficients, tol: float = TERMINATION_TOL) -> int | None:
     """Smallest index m with every later stored coefficient negligible.
 
-    Negligible means |c_n| < tol * max(1, |c0|); at least TERMINATION_RUN
-    consecutive negligible tail coefficients are required, so fewer than
+    Negligible means |c_n| < tol * max(1, |c0|), so m is the last index
+    n >= 1 whose c_n is not negligible, or 0; at least TERMINATION_RUN
+    negligible coefficients must follow it, so fewer than
     TERMINATION_RUN + 1 stored coefficients never report termination.
     """
     n = len(coefficients)
     if n < TERMINATION_RUN + 1:
         return None
     ceiling = tol * max(1.0, abs(coefficients[0]))
-    small = [abs(c) < ceiling for c in coefficients]
-    for m in range(0, n - TERMINATION_RUN):
-        if all(small[m + 1:]):
-            return m
-    return None
+    m = next((i for i in range(n - 1, 0, -1) if not abs(coefficients[i]) < ceiling), 0)
+    return m if n - 1 - m >= TERMINATION_RUN else None
 
 
 def power_expansion_coefficients(beta, order: int) -> list[float]:

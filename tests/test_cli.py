@@ -327,6 +327,35 @@ class TestConfigFile:
         cfg.write_text("f=exp(z)\n")
         assert "required: command" in usage_error(capsys, "--config", str(cfg))
 
+    def test_config_equals_path_applies_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f=exp(z)\ns=z\norder=2\n")
+        code, out, err = run_cli(capsys, f"--config={cfg}", "expand")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["coefficients"]) == 3
+
+    @pytest.mark.parametrize("contour", [("--contour=0:0.5",), ("--contour", "0:0.5")])
+    def test_explicit_contour_replaces_config_contour(self, capsys, tmp_path, contour):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("contour=0:1\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "teixeira",
+                                 "--f", "exp(z)", "--s", "z", "--order", "2", *contour)
+        assert (code, err) == (0, "")
+        contours = json.loads(out)["contours"]
+        assert (contours["outer"]["radius"], contours["inner"]["radius"]) == (0.5, 0.25)
+
+    def test_config_after_the_command_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order=2\n")
+        line = usage_error(capsys, "expand", "--config", str(cfg), "--f", "exp(z)", "--s", "z")
+        assert line == f"funcseries: error: unrecognized arguments: --config {cfg}"
+
+    def test_abbreviated_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f=exp(z)\ns=z\nord=2\n")
+        line = usage_error(capsys, "--config", str(cfg), "expand")
+        assert line == "funcseries: error: unrecognized arguments: --ord=2"
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
@@ -404,6 +433,15 @@ class TestInputErrors:
     def test_plot_grid_malformed_is_usage_error(self, capsys, grid, message):
         line = usage_error(capsys, "plot", "--f", "exp(z)", "--s", "z", f"--grid={grid}")
         assert line == f"funcseries plot: error: argument --grid: {message}"
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--f", "exp(z)", "--s", "z", "--ord", "3"),
+        ("expand", "--f", "exp(z)", "--s", "z", "--ord=3"),
+        ("teixeira", "--f", "exp(z)", "--s", "z", "--cont", "0:0.5"),
+    ])
+    def test_abbreviated_flag_is_usage_error(self, capsys, argv):
+        line = usage_error(capsys, *argv)
+        assert line == "funcseries: error: unrecognized arguments: " + " ".join(argv[5:])
 
     def test_contour_without_colon_is_usage_error(self, capsys):
         line = usage_error(capsys, "teixeira", "--f", "exp(z)", "--s", "z", "--contour", "1")

@@ -269,6 +269,16 @@ class TestReverseDirection:
             z_derivative_via_s(parse("s"), const(2), 1)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: OperatorChain(parse("exp(z)"), parse("z")).entry(-1), "order must be >= 0"),
+    (lambda: z_derivative_via_s(parse("s"), parse("s^2"), 1),
+     "inner and outer variables must differ"),
+], ids=["negative-entry", "inner-in-the-s-letter"])
+def test_invalid_argument_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @contextlib.contextmanager
 def fast_switching():
     """Switch threads every 10 us, so races show within a short test."""
@@ -453,6 +463,29 @@ class TestLadderCache:
             assert all(got is chain.entry(8 - i) for i, got in enumerate(result))
             assert [repr(e) for e in result] == [repr(serial.entry(n)) for n in range(8, -1, -1)]
         assert ladder_cache_info().nodes == counted_nodes(f, s, 8)
+
+    def test_a_chain_inserted_while_building_is_the_one_returned(self, ladders, monkeypatch):
+        # the first caller is held inside OperatorChain while a second one
+        # builds and inserts the pair; the first then drops its own chain
+        f, s = parse("exp(2*z)"), parse("exp(z)")
+        first_built, second_inserted = threading.Event(), threading.Event()
+        init = OperatorChain.__init__
+
+        def held_init(self, *args):
+            init(self, *args)
+            if not first_built.is_set():
+                first_built.set()
+                assert second_inserted.wait(timeout=60)
+
+        monkeypatch.setattr(OperatorChain, "__init__", held_init)
+        with ThreadPoolExecutor(1) as pool:
+            first = pool.submit(cached_chain, f, s)
+            assert first_built.wait(timeout=60)
+            second = cached_chain(f, s)
+            second_inserted.set()
+            assert first.result(timeout=60) is second
+        assert ladder_cache_info()[:3] == (0, 2, 1)
+        assert ladders._chains[(repr(f), repr(s))] is second
 
     def test_threads_keep_the_node_count_exact_under_eviction(self, ladders, monkeypatch):
         # 8 threads look up and extend 6 pairs with room for about two

@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -153,6 +154,17 @@ class TestParse:
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
             parse("   ")
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: parse("(z"), ParseError, "expected ')'"),
+        (lambda: parse("zz"), ParseError, "unknown name 'zz'"),
+        (lambda: const(True), TypeError, "bool is not a numeric constant"),
+        (lambda: var("zz"), ValueError, "variable must be a single letter, got 'zz'"),
+        (lambda: call("erf", var("z")), ValueError, "unsupported function 'erf'"),
+    ], ids=["unclosed-paren", "two-letter-name", "bool-const", "two-letter-var", "erf-call"])
+    def test_rejected_input_names_the_fault(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
 
 class TestEvaluate:
@@ -494,6 +506,9 @@ class TestFormat:
                 continue
             got = evaluate(back, z)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), text
+
+    def test_real_complex_constant_prints_as_a_float(self):
+        assert format_expr(Expr(CONST, value=2 + 0j)) == "2.0"
 
     def test_round_trip_after_differentiation(self):
         for text in CORPUS:

@@ -161,6 +161,22 @@ class TestArithmetic:
         with pytest.raises((ValueError, AttributeError)):
             ts.coefficients[0] = 5.0
 
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: TruncatedSeries.from_expr(parse("exp(z)"), 0.0, -1),
+         ValueError, "order must be >= 0"),
+        (lambda: TruncatedSeries([]), ValueError, "coefficients must be a non-empty 1-d sequence"),
+        (lambda: setattr(TruncatedSeries([1.0]), "coefficients", [2.0]),
+         AttributeError, "TruncatedSeries is immutable"),
+        (lambda: TruncatedSeries([1.0, 2.0]) ** 0.5,
+         TypeError, "series power wants an integer exponent"),
+    ], ids=["negative-order", "empty", "rebind-coefficients", "real-power"])
+    def test_invalid_use_is_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_repr_lists_the_coefficients(self):
+        assert repr(TruncatedSeries([1.0, 2.0])) == "TruncatedSeries([(1+0j), (2+0j)])"
+
 
 class TestOracleCoefficients:
     def test_too_deep_a_tree_is_a_funcseries_error(self):

@@ -1,5 +1,6 @@
 """Expansion engine: coefficients, termination, partial sums, inverse route."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from funcseries.errors import (
 from funcseries.expr import evaluate, parse
 from funcseries.oracle import oracle_coefficients
 from funcseries.series import (
+    TERMINATION_RUN,
+    TERMINATION_TOL,
     ExpansionRequest,
     detect_termination,
     expand,
@@ -188,6 +191,28 @@ class TestDetectTermination:
 
     def test_relative_to_leading(self):
         assert detect_termination([1e8, 1e-4, 1e-4, 1e-4, 1e-4]) == 0
+
+    @staticmethod
+    def rescanning_termination(coefficients, tol=TERMINATION_TOL):
+        """The reference: test each candidate index against its whole tail."""
+        n = len(coefficients)
+        if n < TERMINATION_RUN + 1:
+            return None
+        ceiling = tol * max(1.0, abs(coefficients[0]))
+        small = [abs(c) < ceiling for c in coefficients]
+        for m in range(0, n - TERMINATION_RUN):
+            if all(small[m + 1:]):
+                return m
+        return None
+
+    def test_one_scan_matches_the_rescanning_loop(self):
+        # every pattern of negligible (1e-20), non-negligible (1.0) and NaN
+        # coefficients up to length 10, after a leading 1 or 1e8
+        for n in range(11):
+            for pattern in itertools.product((1e-20, 1.0, math.nan), repeat=max(n - 1, 0)):
+                for c0 in (1.0, 1e8):
+                    c = [c0, *pattern][:n]
+                    assert detect_termination(c) == self.rescanning_termination(c), c
 
 
 class TestOwnPowerCoefficients:

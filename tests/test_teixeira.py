@@ -44,6 +44,11 @@ class TestContourSpec:
         with pytest.raises(ValueError, match="at most 65536 quadrature points"):
             ContourSpec(0.0, 1.0, points=2 * MAX_POINTS)
 
+    @pytest.mark.parametrize("inner", [None, HALF])
+    def test_negative_order_rejected(self, inner):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            teixeira_expand(parse("exp(z)"), parse("z"), 0.0, UNIT, inner, -1)
+
     def test_nodes_lie_on_circle(self):
         zs, phase = ContourSpec(1.0 + 1.0j, 2.0, 64).nodes()
         np.testing.assert_allclose(np.abs(zs - (1 + 1j)), 2.0, atol=1e-12)
