@@ -25,12 +25,16 @@ modules when they run, so ``expand``, ``plot`` and ``remainder`` start
 without loading numpy.
 
 A catalog ``check`` (no ``--f``/``--s``) checks each pair at its own
-point, so ``--z0`` is ignored.
+point, so ``--z0`` is ignored.  A command takes only the flags that
+change its result: ``plot`` takes ``--tol-deriv-zero`` but not
+``--tol-termination``, and ``teixeira`` takes neither.
 
 A flag is ``--name value`` or ``--name=value``, never abbreviated.  A
 config file of ``key=value`` lines (keys named like the flags), given
 before the command as ``--config path`` or ``--config=path``, supplies
-each flag the command line omits.
+each flag the command line omits.  A key goes only to the commands that
+take its flag, so one file serves all five; a key no command takes is a
+usage error.
 """
 
 from __future__ import annotations
@@ -69,17 +73,19 @@ MAX_GRID_COUNT = 2**16
 
 
 def _parse_complex(text: str) -> complex:
-    if "," in text:
-        re_part, im_part = text.split(",", 1)
-        return complex(float(re_part), float(im_part))
-    return complex(float(text), 0.0)
+    re_part, comma, im_part = text.partition(",")
+    try:
+        return complex(float(re_part), float(im_part) if comma else 0.0)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number or re,im") from None
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError("grid must be start:stop:count") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError("grid start and stop must be finite")
     if not math.isfinite(stop - start):
@@ -93,9 +99,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 def _parse_contour(text: str) -> tuple[complex, float]:
     center_text, _, radius_text = text.rpartition(":")
-    if not center_text:
-        raise argparse.ArgumentTypeError("contour must be center:radius")
-    return _parse_complex(center_text), float(radius_text)
+    try:
+        return _parse_complex(center_text), float(radius_text)
+    except (argparse.ArgumentTypeError, ValueError):
+        raise argparse.ArgumentTypeError("contour must be center:radius") from None
 
 
 class _AppendContour(argparse.Action):
@@ -127,26 +134,27 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", default=None,
                      help="key=value file of flag defaults")
     sub = top.add_subparsers(dest="command", required=True)
+    tolerances = {"--tol-termination": TERMINATION_TOL, "--tol-deriv-zero": DERIVATIVE_ZERO_TOL}
 
-    def common(p, pair_required: bool):
+    def common(p, pair_required: bool, *tols: str):
         p.add_argument("--f", required=pair_required, help="function to expand")
         p.add_argument("--s", required=pair_required, help="inner function (theta for teixeira)")
         p.add_argument("--z0", type=_parse_complex, default=0j,
                        help="expansion point, real or re,im")
         p.add_argument("--order", type=int, default=6)
-        p.add_argument("--tol-termination", type=float, default=TERMINATION_TOL)
-        p.add_argument("--tol-deriv-zero", type=float, default=DERIVATIVE_ZERO_TOL)
+        for flag in tols:
+            p.add_argument(flag, type=float, default=tolerances[flag])
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("expand", allow_abbrev=False, help="JSON coefficient report")
-    common(p, True)
+    common(p, True, *tolerances)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("plot", allow_abbrev=False, help="CSV of f and partial sums on a real grid")
-    common(p, True)
+    common(p, True, "--tol-deriv-zero")
     p.add_argument("--grid", type=_parse_grid, default=(-1.2, 1.2, 121),
                    help="real grid as start:stop:count")
-    p.set_defaults(func=cmd_plot)
+    p.set_defaults(func=cmd_plot, tol_termination=TERMINATION_TOL)
 
     p = sub.add_parser(
         "check", help="engine vs independent oracle, on the catalog or one pair",
@@ -154,12 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "--f and --s together check that pair at --z0. Without them, "
                     "each catalog pair is checked at its own expansion point, so "
                     "--z0 is ignored.", allow_abbrev=False)
-    common(p, False)
+    common(p, False, *tolerances)
     p.add_argument("--corrupt", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check, order=10)
 
     p = sub.add_parser("remainder", allow_abbrev=False, help="measured error and bounds at a point")
-    common(p, True)
+    common(p, True, *tolerances)
     p.add_argument("--z", type=_parse_complex, default=None, required=True,
                    help="evaluation point, real or re,im")
     p.add_argument("--samples", type=int, default=64)
@@ -173,17 +181,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_parse_complex, default=None,
                    help="optionally evaluate the partial sum at this point")
     p.set_defaults(func=cmd_teixeira)
+    top.command_flags = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
     return top
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Splice config-file values in as defaults, for the flags the command line does not name."""
-    if not argv or argv[0].split("=", 1)[0] != "--config":  # argparse reads it only first
+    head = argv[0].split("=", 1) if argv else [""]
+    if head[0] != "--config":  # argparse reads it only first
+        if head[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"unrecognized arguments: {argv[0]}")  # argparse names the next token
         return argv
-    argv = argv[0].split("=", 1) + argv[1:]  # --config=path: --config path
+    argv = head + argv[1:]  # --config=path: --config path
     if len(argv) < 3:  # no path or no command: argparse reports the usage error
         return argv
     path, rest = argv[1], argv[3:]
+    # a key only other commands take is left out; argparse rejects one no command takes
+    by_command = parser.command_flags
+    elsewhere = set().union(*by_command.values()) - by_command.get(argv[2], set())
     given = {tok.split("=", 1)[0] for tok in rest}  # --name and --name=value both name --name
     injected: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -193,7 +208,7 @@ def _apply_config(argv: list[str]) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             flag = "--" + key.strip().replace("_", "-")
-            if flag not in given:
+            if flag not in given and flag not in elsewhere:
                 # one --key=value token, so a value may start with "-"
                 injected.append(f"{flag}={value.strip()}")
     return argv[:3] + injected + rest
@@ -341,8 +356,8 @@ def cmd_teixeira(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(_apply_config(argv, parser))
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -356,6 +357,29 @@ class TestConfigFile:
         line = usage_error(capsys, "--config", str(cfg), "expand")
         assert line == "funcseries: error: unrecognized arguments: --ord=2"
 
+    #: one config key for every flag of the five commands
+    EVERY_KEY = {"f": "1/(1+z)", "s": "sin(z)", "z0": "0.1", "order": "3",
+                 "tol_termination": "1e-9", "tol_deriv_zero": "1e-13",
+                 "grid": "-0.5:0.5:5", "z": "0.3", "samples": "16", "contour": "0.1:0.5",
+                 "quadrature_points": "64", "x": "0.2"}
+
+    @pytest.mark.parametrize("command,keys", [
+        ("expand", ["f", "s", "z0", "order", "tol_termination", "tol_deriv_zero"]),
+        ("plot", ["f", "s", "z0", "order", "tol_deriv_zero", "grid"]),
+        ("check", ["f", "s", "z0", "order", "tol_termination", "tol_deriv_zero"]),
+        ("remainder", ["f", "s", "z0", "order", "tol_termination", "tol_deriv_zero",
+                       "z", "samples"]),
+        ("teixeira", ["f", "s", "z0", "order", "contour", "quadrature_points", "x"]),
+    ])
+    def test_one_file_serves_every_command(self, capsys, tmp_path, command, keys):
+        # each command takes the keys of its own flags and leaves the others
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in self.EVERY_KEY.items()))
+        code, out, err = run_cli(capsys, "--config", str(cfg), command)
+        assert (code, err) == (0, "")
+        flags = [f"--{key.replace('_', '-')}={self.EVERY_KEY[key]}" for key in keys]
+        assert run_cli(capsys, command, *flags) == (0, out, "")
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
@@ -494,6 +518,56 @@ class TestInputErrors:
                                  "--out", str(target))
         assert (code, out) == (1, "")
         assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--conf", "run.cfg", "expand"),
+        ("-c", "run.cfg", "expand"),
+        ("--conf=run.cfg", "expand"),
+    ])
+    def test_unknown_flag_before_the_command_is_named(self, capsys, argv):
+        line = usage_error(capsys, *argv)
+        assert line == f"funcseries: error: unrecognized arguments: {argv[0]}"
+
+    @pytest.mark.parametrize("argv", [
+        ("teixeira", "--tol-deriv-zero", "-5"),
+        ("teixeira", "--tol-termination", "nan"),
+        ("plot", "--tol-termination", "1e-3"),
+    ])
+    def test_tolerance_a_command_does_not_use_is_usage_error(self, capsys, argv):
+        line = usage_error(capsys, argv[0], "--f", "exp(z)", "--s", "z", *argv[1:])
+        assert line == "funcseries: error: unrecognized arguments: " + " ".join(argv[1:])
+
+    @pytest.mark.parametrize("command,tolerances", [
+        ("expand", {"--tol-termination", "--tol-deriv-zero"}),
+        ("plot", {"--tol-deriv-zero"}),
+        ("check", {"--tol-termination", "--tol-deriv-zero"}),
+        ("remainder", {"--tol-termination", "--tol-deriv-zero"}),
+        ("teixeira", set()),
+    ])
+    def test_help_lists_only_the_tolerances_a_command_uses(self, capsys, command, tolerances):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--tol-[a-z-]+", capsys.readouterr().out))
+        assert flags == tolerances
+
+    @pytest.mark.parametrize("argv,message", [
+        (("expand", "--z0", "abc"), "argument --z0: expected a number or re,im"),
+        (("remainder", "--z", "1,x"), "argument --z: expected a number or re,im"),
+        (("teixeira", "--x", "1,"), "argument --x: expected a number or re,im"),
+        (("plot", "--grid", "0:1:x"), "argument --grid: grid must be start:stop:count"),
+        (("plot", "--grid", "0:1:0.5"), "argument --grid: grid must be start:stop:count"),
+        (("teixeira", "--contour", "0:x"), "argument --contour: contour must be center:radius"),
+        (("teixeira", "--contour", "x,0:1"),
+         "argument --contour: contour must be center:radius"),
+    ], ids=["z0", "z", "x", "grid", "grid-count", "contour-radius", "contour-center"])
+    def test_malformed_value_names_the_expected_form(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--f", "exp(z)", "--s", "z", *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "_parse_" not in err
+        assert err.endswith(f"funcseries {argv[0]}: error: {message}\n")
 
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

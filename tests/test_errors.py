@@ -34,7 +34,7 @@ def test_pickle_round_trip(cls):
     ("foo(z)", UnknownFunction),
     ("x+y", MultipleVariables),
 ])
-def test_parse_error_comes_back_from_a_worker_process(text, cls):
+def test_parse_error_comes_back_from_another_process(text, cls):
     with pytest.raises(cls) as local:
         parse(text)
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
