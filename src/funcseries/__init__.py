@@ -20,7 +20,6 @@ from .composite import OperatorChain, composite_derivative, z_derivative_via_s
 from .errors import (
     AnnulusViolation,
     CompositeDerivativeZero,
-    CompositionOffsetNonzero,
     ConstantComposite,
     DivisionBySingularSeries,
     FuncSeriesError,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 #: what ``from funcseries import *`` binds: the public names, the six
 #: numpy-backed ones included (so a star import loads numpy)
 __all__ = [
-    "AnnulusViolation", "CATALOG", "CompositeDerivativeZero", "CompositionOffsetNonzero",
+    "AnnulusViolation", "CATALOG", "CompositeDerivativeZero",
     "ConstantComposite", "ContourSpec", "DivisionBySingularSeries", "ExpansionRequest",
     "Expr", "FuncSeriesError", "InverseMismatch", "LeadingCoefficientZero",
     "MultipleVariables", "NonMonotoneComposite", "OperatorChain", "ParseError",

@@ -29,12 +29,12 @@ point, so ``--z0`` is ignored.  A command takes only the flags that
 change its result: ``plot`` takes ``--tol-deriv-zero`` but not
 ``--tol-termination``, and ``teixeira`` takes neither.
 
-A flag is ``--name value`` or ``--name=value``, never abbreviated.  A
-config file of ``key=value`` lines (keys named like the flags), given
-before the command as ``--config path`` or ``--config=path``, supplies
-each flag the command line omits.  A key goes only to the commands that
-take its flag, so one file serves all five; a key no command takes is a
-usage error.
+A flag is ``--name value`` or ``--name=value``, never abbreviated, and a
+value may start with ``-`` either way.  A config file of ``key=value``
+lines (keys named like the flags), given before the command as
+``--config path`` or ``--config=path``, supplies each flag the command
+line omits.  A key goes only to the commands that take its flag, so one
+file serves all five; a key no command takes is a usage error.
 """
 
 from __future__ import annotations
@@ -214,6 +214,20 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     return argv[:3] + injected + rest
 
 
+def _join_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Join a flag to a following value that starts with "-" and is no flag of
+    the command, as "--name=value": argparse takes only "-1"-like ones."""
+    at = 2 if argv[:1] == ["--config"] else 0  # where _apply_config leaves the command
+    flags = parser.command_flags.get(argv[at] if len(argv) > at else "", set())
+    out = argv[:at + 1]
+    for tok in argv[at + 1:]:
+        if out[-1] in flags - {"-h", "--help"} and tok[:1] == "-" and tok.split("=")[0] not in flags:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _request_from(args, f: Expr, s: Expr, z0: complex) -> ExpansionRequest:
     return ExpansionRequest(f, s, z0, args.order,
                             termination_tol=args.tol_termination,
@@ -357,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = _build_parser()
-        args = parser.parse_args(_apply_config(argv, parser))
+        args = parser.parse_args(_join_dash_values(_apply_config(argv, parser), parser))
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

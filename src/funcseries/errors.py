@@ -56,10 +56,6 @@ class DivisionBySingularSeries(FuncSeriesError):
     """Truncated-series division by a series with (near-)zero constant term."""
 
 
-class CompositionOffsetNonzero(FuncSeriesError):
-    """Truncated-series composition requires the inner constant term to be 0."""
-
-
 class LeadingCoefficientZero(FuncSeriesError):
     """The shifted inner series has no linear term, so matching cannot start."""
 

@@ -3,11 +3,10 @@
 This module is the independent cross-check for the expansion engine.
 It never touches symbolic differentiation or the composite-derivative
 ladder: it runs the tree's evaluation tape (``expr._tape``, as
-:func:`funcseries.expr.evaluate_many` does) with truncated-series
-arithmetic (:class:`TruncatedSeries`) and jets of the elementary
-functions, under the evaluation contract stated in :mod:`funcseries.expr`
-(tape order, ``DIVISION_FLOOR``, ``PRINCIPAL_BRANCH``; a branch point is
-singular).  :func:`oracle_coefficients` then matches coefficients in
+:func:`funcseries.expr.evaluate_many` does) on jets, under the
+evaluation contract stated in :mod:`funcseries.expr` (tape order,
+``DIVISION_FLOOR``, ``PRINCIPAL_BRANCH``; a branch point is singular).
+:func:`oracle_coefficients` then matches coefficients in
 
     F(t) = sum_n c_n * u(t)^n,        u = inner series minus its constant
 
@@ -16,15 +15,16 @@ leading power t^n with coefficient u1^n, so the system is lower
 triangular and solvable term by term whenever u1 != 0 (the series-level
 restatement of the nonvanishing-derivative requirement).
 
-A TruncatedSeries holds the coefficients of e(z0 + t) in t up to a
-fixed order; arithmetic never reads beyond the stored coefficients.
-Products, quotients and compositions run on three small numpy kernels
-(Cauchy product, long division, Horner composition) private to this
-module.  The jets are also the Taylor data for the inverse-composite
-route in :mod:`funcseries.series`.  An elementary jet out of double
-range raises SingularAtExpansionPoint; arithmetic out of range gives
-inf or nan without a warning, which both routes reject.  Values are
-complex128 and immutable, so everything here can run concurrently.
+Inside this module a jet is a complex128 array: the coefficients of
+e(z0 + t) in t up to a fixed order.  The tape loop calls three numpy
+kernels on them (Cauchy product, long division, Horner composition);
+:meth:`TruncatedSeries.from_expr` returns the result as an immutable
+:class:`TruncatedSeries`, which does no arithmetic.  The jets are also
+the Taylor data for the inverse-composite route in
+:mod:`funcseries.series`.  An elementary jet out of double range raises
+SingularAtExpansionPoint; arithmetic out of range gives inf or nan
+without a warning, which both routes reject.  Nothing here keeps state,
+so everything can run concurrently.
 
 With :mod:`funcseries.teixeira` this is the only module that imports
 numpy, so the rest of the package imports it lazily: the package
@@ -46,7 +46,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import (
-    CompositionOffsetNonzero,
     DivisionBySingularSeries,
     FuncSeriesError,
     LeadingCoefficientZero,
@@ -96,8 +95,41 @@ def _series_compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndar
     return out
 
 
+def _constant(value: complex, order: int) -> np.ndarray:
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[0] = value
+    return out
+
+
+def _shifted(a: np.ndarray) -> np.ndarray:
+    """Copy of a with the constant term replaced by an exact 0."""
+    out = a.copy()
+    out[0] = 0.0
+    return out
+
+
+def _divide(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    if abs(b[0]) < DIVISION_FLOOR:
+        raise DivisionBySingularSeries("divisor series has (near-)zero constant term")
+    return _series_div(a, b, order)
+
+
+def _power(base: np.ndarray, n: int, order: int) -> np.ndarray:
+    """base^n for an integer n, by binary powering from 1; n < 0 divides 1 by base^-n."""
+    if n < 0:
+        return _divide(_constant(1.0, order), _power(base, -n, order), order)
+    out = _constant(1.0, order)
+    while n:
+        if n & 1:
+            out = _series_mul(out, base, order)
+        base = _series_mul(base, base, order) if n > 1 else base
+        n >>= 1
+    return out
+
+
 class TruncatedSeries:
-    """Degree-N jet: coefficients a0..aN of a function of z0 + t."""
+    """Degree-N jet of a function of z0 + t, coefficients a0..aN: the value
+    from_expr returns.  It does no arithmetic."""
 
     __slots__ = ("coefficients",)
 
@@ -119,24 +151,10 @@ class TruncatedSeries:
         return complex(self.coefficients[i])
 
     @classmethod
-    def constant(cls, value, order: int) -> "TruncatedSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def identity(cls, z0, order: int) -> "TruncatedSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = z0
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    @classmethod
     @np.errstate(all="ignore")  # a coefficient out of range is the caller's to reject
     def from_expr(cls, e: Expr, z0: complex, order: int) -> "TruncatedSeries":
-        """Jet of e(z0 + t), one truncated-series operation per step of the
-        tree's tape (``expr._tape``), so a shared subtree is expanded once.
+        """Jet of e(z0 + t), one array operation per step of the tree's
+        tape (``expr._tape``), so a shared subtree is expanded once.
 
         No symbolic differentiation is involved; elementary functions
         contribute closed-form jets at the inner constant term.  Raises
@@ -148,7 +166,7 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("order must be >= 0")
         try:
-            return _jet(e, complex(z0), order)
+            return cls(_jet(e, complex(z0), order))
         except DivisionBySingularSeries as exc:
             try:
                 where = f"jet of {e}"
@@ -157,80 +175,6 @@ class TruncatedSeries:
             raise SingularAtExpansionPoint(f"{where} at {z0}: {exc}") from exc
         except RecursionError:
             raise nested_too_deeply("build a jet") from None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if other.order != self.order:
-                raise ValueError("order mismatch")
-            return other
-        return TruncatedSeries.constant(other, self.order)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return TruncatedSeries(self.coefficients + other.coefficients)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return TruncatedSeries(self.coefficients - other.coefficients)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return TruncatedSeries(-self.coefficients)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.coefficients * complex(other))
-        other = self._coerce(other)
-        return TruncatedSeries(
-            _series_mul(self.coefficients, other.coefficients, self.order))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if abs(other.coefficients[0]) < DIVISION_FLOOR:
-            raise DivisionBySingularSeries(
-                "divisor series has (near-)zero constant term")
-        return TruncatedSeries(
-            _series_div(self.coefficients, other.coefficients, self.order))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("series power wants an integer exponent")
-        if n < 0:
-            return TruncatedSeries.constant(1.0, self.order) / self ** (-n)
-        out = TruncatedSeries.constant(1.0, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Jet of self(inner(t)); inner's constant term must be exactly 0."""
-        inner = self._coerce(inner)
-        if inner.coefficients[0] != 0:
-            raise CompositionOffsetNonzero(
-                f"inner constant term is {inner.coefficients[0]}, not 0")
-        return TruncatedSeries(
-            _series_compose(self.coefficients, inner.coefficients, self.order))
-
-    def shift_to_zero(self) -> "TruncatedSeries":
-        """Copy with the constant term replaced by an exact 0."""
-        c = self.coefficients.copy()
-        c[0] = 0.0
-        return TruncatedSeries(c)
 
     def __repr__(self):
         return f"TruncatedSeries({self.coefficients.tolist()!r})"
@@ -282,39 +226,44 @@ def _elementary_jet(name: str, v: complex, order: int) -> np.ndarray:
     raise AssertionError(f"no jet rule for {name}")
 
 
-def _apply_elementary(name: str, inner: TruncatedSeries) -> TruncatedSeries:
-    v = complex(inner.coefficients[0])
+def _elementary(name: str, inner: np.ndarray, order: int) -> np.ndarray:
+    """Jet of name(inner): name's jet at inner[0] composed with inner shifted to 0."""
     if name == "tan":
-        return (_apply_elementary("sin", inner) / _apply_elementary("cos", inner))
+        return _divide(_elementary("sin", inner, order), _elementary("cos", inner, order), order)
+    v = complex(inner[0])
     try:
-        jet = _elementary_jet(name, v, inner.order)
+        jet = _elementary_jet(name, v, order)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:  # exp(800), log's v^k under range
         raise SingularAtExpansionPoint(f"{name} jet at {v}: {exc}") from exc
-    return TruncatedSeries(jet).compose(inner.shift_to_zero())
+    return _series_compose(jet, _shifted(inner), order)
 
 
-def _jet(e: Expr, z0: complex, order: int) -> TruncatedSeries:
-    jets = [TruncatedSeries.identity(z0, order)]
+def _jet(e: Expr, z0: complex, order: int) -> np.ndarray:
+    jets = [_constant(z0, order)]
+    jets[0][1:2] = 1.0  # the variable, z0 + t
     for kind, name, value, inputs in _tape(e):
         args = [jets[i] for i in inputs]
         if kind == CONST:
             try:
-                out = TruncatedSeries.constant(complex(value), order)
+                out = _constant(complex(value), order)
             except OverflowError as exc:
                 raise SingularAtExpansionPoint(
                     f"constant out of floating-point range: {exc}") from exc
-        elif kind in (ADD, MULTIPLY):
-            out = reduce(operator.add if kind == ADD else operator.mul, args)
+        elif kind == ADD:
+            out = reduce(operator.add, args)
+        elif kind == MULTIPLY:
+            out = reduce(lambda a, b: _series_mul(a, b, order), args)
         elif kind == NEGATE:
             out = -args[0]
         elif kind == DIVIDE:
-            out = args[0] / args[1]
+            out = _divide(args[0], args[1], order)
         elif kind == POWER and value is not None:
-            out = args[0] ** value
+            out = _power(args[0], value, order)
         elif kind == POWER:  # through exp(c * log(base)), principal branch
-            out = _apply_elementary("exp", args[1] * _apply_elementary("log", args[0]))
+            log_base = _elementary("log", args[0], order)
+            out = _elementary("exp", _series_mul(args[1], log_base, order), order)
         else:
-            out = _apply_elementary(name, args[0])
+            out = _elementary(name, args[0], order)
         jets.append(out)
     return jets[-1]
 
@@ -333,22 +282,19 @@ def oracle_coefficients(f: Expr, s: Expr, z0: complex, order: int) -> list[compl
     series has no linear term, and SingularAtExpansionPoint when a
     coefficient leaves double range.
     """
-    F = TruncatedSeries.from_expr(f, z0, order)
-    S = TruncatedSeries.from_expr(s, z0, order)
-    u = S.shift_to_zero()
-    if order >= 1 and abs(u.coefficients[1]) < DIVISION_FLOOR:
+    residual = TruncatedSeries.from_expr(f, z0, order).coefficients.copy()
+    u = _shifted(TruncatedSeries.from_expr(s, z0, order).coefficients)
+    if order >= 1 and abs(u[1]) < DIVISION_FLOOR:
         raise LeadingCoefficientZero("inner series has zero linear coefficient")
 
-    residual = F.coefficients.copy()
-    power_of_u = np.zeros(order + 1, dtype=np.complex128)
-    power_of_u[0] = 1.0
+    power_of_u = _constant(1.0, order)
     coeffs: list[complex] = []
     for n in range(order + 1):
         c_n = residual[n] / power_of_u[n]
         coeffs.append(complex(c_n))
         residual -= c_n * power_of_u
         if n < order:
-            power_of_u = _series_mul(power_of_u, u.coefficients, order)
+            power_of_u = _series_mul(power_of_u, u, order)
     if not all(map(cmath.isfinite, coeffs)):
         raise SingularAtExpansionPoint(f"oracle coefficients at z0={z0} leave double range")
     return coeffs

@@ -80,6 +80,12 @@ CATALOG: tuple[tuple[str, str, str, complex], ...] = (
 )
 
 
+def check_order(order: int) -> None:
+    """Raise ValueError unless 0 <= order <= MAX_ORDER: one limit for every route."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError("order must be >= 0" if order < 0 else f"order must be <= {MAX_ORDER}")
+
+
 class ExpansionRequest(Record):
     """Inputs for expand(): functions, point, order, and tolerances."""
 
@@ -88,10 +94,7 @@ class ExpansionRequest(Record):
     def __init__(self, f: Expr, s: Expr, z0: complex, order: int,
                  termination_tol: float = TERMINATION_TOL,
                  derivative_zero_tol: float = DERIVATIVE_ZERO_TOL):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order > MAX_ORDER:
-            raise ValueError(f"order must be <= {MAX_ORDER}")
+        check_order(order)
         if not (0 < termination_tol < math.inf and 0 < derivative_zero_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
         vars(self).update(f=f, s=s, z0=complex(z0), order=order, termination_tol=termination_tol,
@@ -232,13 +235,14 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
                              termination_tol: float = TERMINATION_TOL) -> SeriesExpansion:
     """Expansion via an explicit inverse: Taylor coefficients of f(g(.)).
 
-    g must be written in its own letter and satisfy g(s(z0)) = z0 to
-    within the round-trip tolerance; otherwise InverseMismatch is
-    raised.  The coefficients are those of the jet of f(g(.)) at s(z0),
-    so SingularAtExpansionPoint is raised where that jet cannot be
-    formed or leaves double range, and ConstantComposite as in expand(), whose result it
-    matches field for field.
+    order is limited as for expand().  g must be written in its own letter
+    and satisfy g(s(z0)) = z0 to within the round-trip tolerance, or
+    InverseMismatch is raised.  The coefficients are those of the jet of
+    f(g(.)) at s(z0), so SingularAtExpansionPoint is raised where that jet
+    cannot be formed or leaves double range, and ConstantComposite as in
+    expand(), whose result it matches field for field.
     """
+    check_order(order)
     from .oracle import TruncatedSeries  # the jets need numpy: load it only here
 
     z0 = complex(z0)

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import AnnulusViolation, QuadratureSingularity, SingularEvaluation
 from .expr import (DIVISION_FLOOR, Expr, Record, differentiate, evaluate, evaluate_many,
                    sole_variable)
-from .series import check_upto, horner
+from .series import check_order, check_upto, horner
 
 #: |B_n| below this counts as an absent negative-power term
 NEGLIGIBLE_COEFFICIENT = 1e-9
@@ -136,9 +136,8 @@ def _contour_sum(scale: float, integrand: np.ndarray, contour: str) -> complex:
 def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
                     outer: ContourSpec, inner: ContourSpec | None,
                     order: int) -> TeixeiraExpansion:
-    """Compute A_0..A_order and (with an inner contour) B_1..B_order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """Compute A_0..A_order and (with an inner contour) B_1..B_order, order as for expand()."""
+    check_order(order)
     letter = sole_variable(f, theta)
     zs, phase = outer.nodes()
     fv = _values_on(f, zs)

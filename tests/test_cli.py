@@ -392,6 +392,7 @@ class TestInputErrors:
         ("teixeira", "--f", "exp(z)", "--s", "z", "--quadrature-points", "10"),
         ("teixeira", "--f", "exp(z)", "--s", "z", "--quadrature-points", "131072"),
         ("teixeira", "--f", "exp(z)", "--s", "z", "--contour", "0:-1"),
+        ("teixeira", "--f", "exp(z)", "--s", "z", "--order", "171"),
         ("check", "--order", "-1"),
     ])
     def test_invalid_value_exits_1(self, capsys, argv):
@@ -569,6 +570,11 @@ class TestInputErrors:
         assert "_parse_" not in err
         assert err.endswith(f"funcseries {argv[0]}: error: {message}\n")
 
+    def test_teixeira_at_the_order_limit_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "teixeira", "--f", "exp(z)", "--s", "z", "--order", "170")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["A"]) == 171
+
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--config"])
@@ -580,6 +586,31 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "expand", "--f", deep, "--s", "z")
         assert code == 2
         assert out == "" and "nesting deeper than 100 levels (at position 100)" in err
+
+
+class TestValueStartingWithMinus:
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("expand", "--f", "exp(z)", "--s", "z"), "--z0", "-0.5,1"),
+        (("expand", "--f", "exp(z)", "--s", "z"), "--z0", "-1e-3"),
+        (("plot", "--f", "exp(z)", "--s", "z"), "--grid", "-1:1:3"),
+        (("teixeira", "--f", "exp(z)", "--s", "z+1", "--z0", "-1"), "--contour", "-1:0.5"),
+        (("expand", "--s", "z"), "--f", "-z^2"),
+    ])
+    def test_prints_what_the_joined_form_prints(self, capsys, argv, flag, value):
+        joined = run_cli(capsys, *argv, f"{flag}={value}")
+        assert joined[0] == 0 and joined[1]
+        assert run_cli(capsys, *argv, flag, value) == joined
+
+    def test_config_file_before_the_command(self, capsys, tmp_path):
+        path = tmp_path / "defaults.cfg"
+        path.write_text("order=3\n", encoding="utf-8")
+        joined = run_cli(capsys, "--config", str(path), "expand", "--s", "z", "--f=-z^2")
+        assert joined[0] == 0
+        assert run_cli(capsys, "--config", str(path), "expand", "--s", "z", "--f", "-z^2") == joined
+
+    def test_flag_after_a_flag_is_still_a_missing_value(self, capsys):
+        error = usage_error(capsys, "expand", "--f", "--s", "z")
+        assert error.endswith("error: argument --f: expected one argument")
 
 
 class TestRecordedOutput:

@@ -1,4 +1,4 @@
-"""Array kernels behind TruncatedSeries, checked against direct formulas."""
+"""Array kernels the oracle's tape loop calls, checked against direct formulas."""
 
 import numpy as np
 

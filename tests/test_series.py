@@ -18,6 +18,7 @@ from funcseries.errors import (
 from funcseries.expr import evaluate, parse
 from funcseries.oracle import oracle_coefficients
 from funcseries.series import (
+    MAX_ORDER,
     TERMINATION_RUN,
     TERMINATION_TOL,
     ExpansionRequest,
@@ -296,6 +297,12 @@ class TestInverseCompositeRoute:
         for n in range(order + 1):
             dev = abs(direct.coefficients[n] - via_inverse.coefficients[n])
             assert dev <= 1e-12 * max(1.0, abs(direct.coefficients[n])), (label, n)
+
+    @pytest.mark.parametrize("order,message", [
+        (-1, "order must be >= 0"), (MAX_ORDER + 1, f"order must be <= {MAX_ORDER}")])
+    def test_order_outside_the_limit_rejected(self, order, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            inverse_composite_expand(parse("exp(2*z)"), parse("exp(z)"), parse("log(s)"), 0.0, order)
 
     def test_square_through_logarithm(self):
         exp = inverse_composite_expand(

@@ -8,7 +8,7 @@ import pytest
 
 from funcseries.errors import AnnulusViolation, QuadratureSingularity
 from funcseries.expr import const, differentiate, evaluate, parse
-from funcseries.series import ExpansionRequest, expand
+from funcseries.series import MAX_ORDER, ExpansionRequest, expand
 import funcseries.teixeira as teixeira
 from funcseries.teixeira import (
     MAX_POINTS,
@@ -48,6 +48,11 @@ class TestContourSpec:
     def test_negative_order_rejected(self, inner):
         with pytest.raises(ValueError, match="order must be >= 0"):
             teixeira_expand(parse("exp(z)"), parse("z"), 0.0, UNIT, inner, -1)
+
+    @pytest.mark.parametrize("inner", [None, HALF])
+    def test_order_above_the_limit_rejected(self, inner):
+        with pytest.raises(ValueError, match=f"^order must be <= {MAX_ORDER}$"):
+            teixeira_expand(parse("exp(z)"), parse("z"), 0.0, UNIT, inner, MAX_ORDER + 1)
 
     def test_nodes_lie_on_circle(self):
         zs, phase = ContourSpec(1.0 + 1.0j, 2.0, 64).nodes()
