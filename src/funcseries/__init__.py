@@ -6,12 +6,11 @@ independent truncated-series oracle cross-checks the coefficients,
 remainder bounds estimate truncation error, and classical contour
 quadrature provides a further cross-check where it applies.
 
-Only the oracle and the quadrature compute with numpy, so their six
-public names (``TruncatedSeries``, ``oracle_coefficients``,
-``ContourSpec``, ``TeixeiraExpansion``, ``teixeira_expand``,
-``teixeira_partial_sum``) are resolved on first access (PEP 562): an
-import of the package, and an expansion, plot or remainder bound, never
-loads numpy.
+Only the oracle and the quadrature compute with numpy, so their five
+public names (``oracle_coefficients``, ``ContourSpec``,
+``TeixeiraExpansion``, ``teixeira_expand``, ``teixeira_partial_sum``)
+are resolved on first access (PEP 562): an import of the package, and
+an expansion, plot or remainder bound, never loads numpy.
 """
 
 import importlib
@@ -59,7 +58,7 @@ from .series import (
 
 __version__ = "0.1.0"
 
-#: what ``from funcseries import *`` binds: the public names, the six
+#: what ``from funcseries import *`` binds: the public names, the five
 #: numpy-backed ones included (so a star import loads numpy)
 __all__ = [
     "AnnulusViolation", "CATALOG", "CompositeDerivativeZero",
@@ -68,7 +67,7 @@ __all__ = [
     "MultipleVariables", "NonMonotoneComposite", "OperatorChain", "ParseError",
     "QuadratureSingularity", "RemainderEstimate", "SeriesExpansion",
     "SingularAtExpansionPoint", "SingularEvaluation", "TeixeiraExpansion",
-    "TruncatedSeries", "UnknownFunction", "complex_bound", "composite_derivative",
+    "UnknownFunction", "complex_bound", "composite_derivative",
     "const", "detect_termination", "differentiate", "evaluate", "expand",
     "format_expr", "inverse_composite_expand", "lagrange_bound", "measured_error",
     "oracle_coefficients", "parse", "partial_sum", "power_expansion_coefficients",
@@ -78,7 +77,6 @@ __all__ = [
 
 #: public names whose modules import numpy, by the module that defines them
 _LAZY = {
-    "TruncatedSeries": "oracle",
     "oracle_coefficients": "oracle",
     "ContourSpec": "teixeira",
     "TeixeiraExpansion": "teixeira",

@@ -12,7 +12,8 @@ Diagnostics go to stderr only.  Exit codes: 0 success, 1 invalid values
 (a negative or too large order, a tolerance or radius that is not
 positive and finite, too few or too many samples or quadrature points,
 an inner contour not inside the outer one when some B_n is not
-negligible) and other errors, 2 parse and usage errors (a plot grid of
+negligible, a theta that does not wind once around 0 on the outer
+contour) and other errors, 2 parse and usage errors (a plot grid of
 fewer than 2 or more than 65536 points, or with a start, stop or span
 that is not finite, and a third teixeira --contour, included), 3
 vanishing inner derivative at the expansion point, 4 singularities, 5

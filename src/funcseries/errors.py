@@ -70,5 +70,6 @@ class QuadratureSingularity(FuncSeriesError):
 
 class AnnulusViolation(FuncSeriesError):
     """The evaluation point lies outside the expansion's validity annulus,
-    or the contours leave that annulus empty while some B_n is not
-    negligible."""
+    the contours leave that annulus empty while some B_n is not
+    negligible, or theta does not wind exactly once around 0 on the
+    outer contour."""

@@ -15,25 +15,23 @@ leading power t^n with coefficient u1^n, so the system is lower
 triangular and solvable term by term whenever u1 != 0 (the series-level
 restatement of the nonvanishing-derivative requirement).
 
-Inside this module a jet is a complex128 array: the coefficients of
-e(z0 + t) in t up to a fixed order.  The tape loop calls three numpy
-kernels on them (Cauchy product, long division, Horner composition);
-:meth:`TruncatedSeries.from_expr` returns the result as an immutable
-:class:`TruncatedSeries`, which does no arithmetic.  The jets are also
-the Taylor data for the inverse-composite route in
-:mod:`funcseries.series`.  An elementary jet out of double range raises
-SingularAtExpansionPoint; arithmetic out of range gives inf or nan
-without a warning, which both routes reject.  Nothing here keeps state,
-so everything can run concurrently.
+A jet is a complex128 array: the coefficients of e(z0 + t) in t up to
+a fixed order.  The tape loop calls three numpy kernels on them (Cauchy
+product, long division, Horner composition), and :func:`jet` returns
+the tree's jet, read-only.  The jets are also the Taylor data for the
+inverse-composite route in :mod:`funcseries.series`.  An elementary jet
+out of double range raises SingularAtExpansionPoint; arithmetic out of
+range gives inf or nan without a warning, which both routes reject.
+Nothing here keeps state, so everything can run concurrently.
 
 With :mod:`funcseries.teixeira` this is the only module that imports
 numpy, so the rest of the package imports it lazily: the package
-resolves ``TruncatedSeries`` and ``oracle_coefficients`` on first
-access, and ``check`` and the inverse route import it when they run.
-The pairs it is checked on are ``series.CATALOG``.
+resolves ``oracle_coefficients`` on first access, and ``check`` and the
+inverse route import it when they run.  The pairs it is checked on are
+``series.CATALOG``.
 
     >>> from funcseries.expr import parse
-    >>> TruncatedSeries.from_expr(parse("exp(z)"), 0.0, 4).coefficients.real
+    >>> jet(parse("exp(z)"), 0.0, 4).real
     array([1.        , 1.        , 0.5       , 0.16666667, 0.04166667])
 """
 
@@ -65,6 +63,7 @@ from .expr import (
     _on_principal_branch,
     _tape,
 )
+from .series import check_order
 
 
 # --------------------------------------------------------------------------
@@ -127,59 +126,6 @@ def _power(base: np.ndarray, n: int, order: int) -> np.ndarray:
     return out
 
 
-class TruncatedSeries:
-    """Degree-N jet of a function of z0 + t, coefficients a0..aN: the value
-    from_expr returns.  It does no arithmetic."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        arr = np.ascontiguousarray(coefficients, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d sequence")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.size - 1
-
-    def coefficient(self, i: int) -> complex:
-        return complex(self.coefficients[i])
-
-    @classmethod
-    @np.errstate(all="ignore")  # a coefficient out of range is the caller's to reject
-    def from_expr(cls, e: Expr, z0: complex, order: int) -> "TruncatedSeries":
-        """Jet of e(z0 + t), one array operation per step of the tree's
-        tape (``expr._tape``), so a shared subtree is expanded once.
-
-        No symbolic differentiation is involved; elementary functions
-        contribute closed-form jets at the inner constant term.  Raises
-        SingularAtExpansionPoint when a division, log, sqrt, or
-        non-integer power is taken at a singular inner value, or an
-        elementary jet leaves double range; a coefficient that does so
-        in the arithmetic comes back inf or nan, with no numpy warning.
-        """
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        try:
-            return cls(_jet(e, complex(z0), order))
-        except DivisionBySingularSeries as exc:
-            try:
-                where = f"jet of {e}"
-            except (FuncSeriesError, ValueError, RecursionError):  # e has no text form
-                where = "jet"
-            raise SingularAtExpansionPoint(f"{where} at {z0}: {exc}") from exc
-        except RecursionError:
-            raise nested_too_deeply("build a jet") from None
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.coefficients.tolist()!r})"
-
-
 # --------------------------------------------------------------------------
 # elementary jets: coefficients of f(v + w) in w, given the point v
 # --------------------------------------------------------------------------
@@ -232,10 +178,10 @@ def _elementary(name: str, inner: np.ndarray, order: int) -> np.ndarray:
         return _divide(_elementary("sin", inner, order), _elementary("cos", inner, order), order)
     v = complex(inner[0])
     try:
-        jet = _elementary_jet(name, v, order)
+        outer = _elementary_jet(name, v, order)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:  # exp(800), log's v^k under range
         raise SingularAtExpansionPoint(f"{name} jet at {v}: {exc}") from exc
-    return _series_compose(jet, _shifted(inner), order)
+    return _series_compose(outer, _shifted(inner), order)
 
 
 def _jet(e: Expr, z0: complex, order: int) -> np.ndarray:
@@ -268,6 +214,34 @@ def _jet(e: Expr, z0: complex, order: int) -> np.ndarray:
     return jets[-1]
 
 
+@np.errstate(all="ignore")  # a coefficient out of range is the caller's to reject
+def jet(e: Expr, z0: complex, order: int) -> np.ndarray:
+    """Read-only complex128 coefficients of e(z0 + t) in t, of length
+    order + 1 (order as for expand()), one array operation per step of
+    the tree's tape (``expr._tape``), so a shared subtree is expanded once.
+
+    No symbolic differentiation is involved; elementary functions
+    contribute closed-form jets at the inner constant term.  Raises
+    SingularAtExpansionPoint when a division, log, sqrt, or non-integer
+    power is taken at a singular inner value, or an elementary jet
+    leaves double range; a coefficient that does so in the arithmetic
+    comes back inf or nan, with no numpy warning.
+    """
+    check_order(order)
+    try:
+        out = _jet(e, complex(z0), order)
+    except DivisionBySingularSeries as exc:
+        try:
+            where = f"jet of {e}"
+        except (FuncSeriesError, ValueError, RecursionError):  # e has no text form
+            where = "jet"
+        raise SingularAtExpansionPoint(f"{where} at {z0}: {exc}") from exc
+    except RecursionError:
+        raise nested_too_deeply("build a jet") from None
+    out.flags.writeable = False
+    return out
+
+
 # --------------------------------------------------------------------------
 # coefficient matching
 # --------------------------------------------------------------------------
@@ -282,8 +256,8 @@ def oracle_coefficients(f: Expr, s: Expr, z0: complex, order: int) -> list[compl
     series has no linear term, and SingularAtExpansionPoint when a
     coefficient leaves double range.
     """
-    residual = TruncatedSeries.from_expr(f, z0, order).coefficients.copy()
-    u = _shifted(TruncatedSeries.from_expr(s, z0, order).coefficients)
+    residual = jet(f, z0, order).copy()
+    u = _shifted(jet(s, z0, order))
     if order >= 1 and abs(u[1]) < DIVISION_FLOOR:
         raise LeadingCoefficientZero("inner series has zero linear coefficient")
 

@@ -243,7 +243,7 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
     expand(), whose result it matches field for field.
     """
     check_order(order)
-    from .oracle import TruncatedSeries  # the jets need numpy: load it only here
+    from .oracle import jet  # the jets need numpy: load it only here
 
     z0 = complex(z0)
     chain = cached_chain(f, s)
@@ -257,8 +257,7 @@ def inverse_composite_expand(f: Expr, s: Expr, g: Expr, z0: complex,
             f"g(s(z0)) = {back} does not return to z0 = {z0}")
 
     h = substitute(f, chain.letter, g)
-    jet = TruncatedSeries.from_expr(h, s0, order)
-    coefficients = tuple(complex(c) for c in jet.coefficients)
+    coefficients = tuple(map(complex, jet(h, s0, order)))
     if not all(map(cmath.isfinite, coefficients)):
         raise SingularAtExpansionPoint(f"inverse route at z0={z0}: coefficients leave double range")
     terminated = detect_termination(coefficients, termination_tol)

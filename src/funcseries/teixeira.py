@@ -35,8 +35,10 @@ ranges overlap) stays usable.
 This module is the classical cross-check for the expansion engine:
 with theta(z) = z - z0 the A_n must match the engine's coefficients
 for s = z.  Quadrature sums run in a fixed sequential order, so results
-are bit-for-bit reproducible for a given node count.  Whether theta
-really has exactly one simple zero inside the outer circle is the
+are bit-for-bit reproducible for a given node count.  The winding
+number of theta around 0 on the outer circle (A_0's sum with f = 1)
+must round to 1, or AnnulusViolation is raised; that theta's one zero
+there is simple, and that f has no pole between the circles, stay the
 caller's responsibility.
 """
 
@@ -147,6 +149,11 @@ def teixeira_expand(f: Expr, theta: Expr, zero_point: complex,
     if outer_min < DIVISION_FLOOR:
         raise QuadratureSingularity("theta vanishes on the outer contour")
     a = [_contour_sum(outer.radius / outer.points, fv * tp * phase / th, "outer")]
+    # A_0's sum with f = 1 is the winding number of theta around 0 (argument principle)
+    winding = round(_contour_sum(outer.radius / outer.points, tp * phase / th, "outer").real)
+    if winding != 1:
+        raise AnnulusViolation(
+            f"theta winds {winding} times around 0 on the outer contour, not once")
     if order:  # A_0 alone needs no f'
         fprime = differentiate(f, letter)
         weighted = _values_on(fprime, zs) * phase

@@ -489,6 +489,17 @@ class TestInputErrors:
                        "contour, 1, is not below the smallest on the outer, 0.5, "
                        "and some B_n is not negligible\n")
 
+    @pytest.mark.parametrize("argv,turns", [
+        (("--s", "z^2", "--z0", "0", "--order", "3", "--contour", "0:4"), 2),
+        (("--s", "sin(z)", "--order", "2", "--contour", "0:4"), 3),
+        (("--s", "z-3", "--z0", "3", "--order", "2", "--contour", "0:1"), 0),
+    ], ids=["z^2", "sin", "zero-outside"])
+    def test_theta_not_winding_once_exits_1(self, capsys, argv, turns):
+        # theta must have exactly one zero inside the outer contour
+        code, out, err = run_cli(capsys, "teixeira", "--f", "exp(z)", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: theta winds {turns} times around 0 on the outer contour, not once\n"
+
     @pytest.mark.parametrize("x", [[], ["--x", "0.3"]])
     def test_overlapping_contours_without_negative_part_exit_0(self, capsys, x):
         # theta = exp(z) - 1 on the default contours: the inner |theta|

@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -19,39 +20,30 @@ from funcseries.errors import (
     SingularAtExpansionPoint,
 )
 from funcseries.expr import ADD, DIVIDE, Expr, const, differentiate, evaluate, parse, simplify, var
-from funcseries.oracle import (
-    TruncatedSeries,
-    _divide,
-    _series_div,
-    _series_mul,
-    oracle_coefficients,
-)
+from funcseries.oracle import _divide, _series_div, _series_mul, jet, oracle_coefficients
 
 RNG = np.random.default_rng(1123)
 
 
 class TestFromExpr:
     def test_exponential_jet(self):
-        ts = TruncatedSeries.from_expr(parse("exp(z)"), 0.0, 4)
         np.testing.assert_allclose(
-            ts.coefficients, [1, 1, 1 / 2, 1 / 6, 1 / 24], atol=1e-15)
+            jet(parse("exp(z)"), 0.0, 4), [1, 1, 1 / 2, 1 / 6, 1 / 24], atol=1e-15)
 
     def test_geometric_jet(self):
-        ts = TruncatedSeries.from_expr(parse("1/(1+z)"), 0.0, 3)
-        np.testing.assert_allclose(ts.coefficients, [1, -1, 1, -1], atol=1e-15)
+        np.testing.assert_allclose(jet(parse("1/(1+z)"), 0.0, 3), [1, -1, 1, -1], atol=1e-15)
 
     def test_sine_jet(self):
-        ts = TruncatedSeries.from_expr(parse("sin(z)"), 0.0, 3)
-        np.testing.assert_allclose(ts.coefficients, [0, 1, 0, -1 / 6], atol=1e-15)
+        np.testing.assert_allclose(jet(parse("sin(z)"), 0.0, 3), [0, 1, 0, -1 / 6], atol=1e-15)
 
     def test_pole_at_point_raises(self):
         with pytest.raises(SingularAtExpansionPoint,
                            match=r"^jet of 1/\(z \+ 1\) at -1\.0: divisor series"):
-            TruncatedSeries.from_expr(parse("1/(1+z)"), -1.0, 3)
+            jet(parse("1/(1+z)"), -1.0, 3)
 
     @pytest.mark.parametrize("run", [
         # a complex constant has no text form
-        lambda: TruncatedSeries.from_expr(Expr(DIVIDE, (const(1j), parse("z-1"))), 1.0, 2),
+        lambda: jet(Expr(DIVIDE, (const(1j), parse("z-1"))), 1.0, 2),
         # simplify rejects the out-of-range 1e400 while formatting the message
         lambda: oracle_coefficients(parse("1/(z-1) + 1e400"), var("z"), 1.0, 2),
     ], ids=["complex-constant", "constant-out-of-range"])
@@ -62,7 +54,7 @@ class TestFromExpr:
 
     def test_log_branch_point_raises(self):
         with pytest.raises(SingularAtExpansionPoint):
-            TruncatedSeries.from_expr(parse("log(z)"), 0.0, 3)
+            jet(parse("log(z)"), 0.0, 3)
 
     def test_constant_beyond_double_range_raises(self):
         with pytest.raises(SingularAtExpansionPoint, match="floating-point range"):
@@ -77,7 +69,7 @@ class TestFromExpr:
     def test_agrees_with_scaled_symbolic_derivatives(self, text, z0):
         # deliberate cross-module check: jets vs n!-scaled derivatives
         e = parse(text)
-        ts = TruncatedSeries.from_expr(e, z0, 8)
+        a = jet(e, z0, 8)
         d = e
         fact = 1.0
         for n in range(9):
@@ -85,36 +77,36 @@ class TestFromExpr:
                 d = simplify(differentiate(d))
                 fact *= n
             want = evaluate(d, z0) / fact
-            got = ts.coefficient(n)
+            got = complex(a[n])
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (text, n)
 
 
 class TestArithmetic:
-    """The array arithmetic the tape loop runs, and the value from_expr returns."""
+    """The array arithmetic the tape loop runs, and the value jet returns."""
 
-    def jet(self, text, order=3):
-        return TruncatedSeries.from_expr(parse(text), 0.5, order).coefficients
+    def jet_of(self, text, order=3):
+        return jet(parse(text), 0.5, order)
 
     def test_multiply(self):
-        got = TruncatedSeries.from_expr(parse("(1+z)*(1-z)"), 0.0, 2).coefficients
+        got = jet(parse("(1+z)*(1-z)"), 0.0, 2)
         np.testing.assert_allclose(got, [1, 0, -1], atol=1e-15)
 
     def test_divide(self):
-        got = TruncatedSeries.from_expr(parse("(1-z)/(1+z)"), 0.0, 2).coefficients
+        got = jet(parse("(1-z)/(1+z)"), 0.0, 2)
         np.testing.assert_allclose(got, [1, -2, 2], atol=1e-15)
 
     def test_subtract_and_negate(self):
-        a, b = self.jet("exp(z)"), self.jet("2 + sin(z)")
-        np.testing.assert_array_equal(self.jet("exp(z) - (2 + sin(z))"), a - b)
-        np.testing.assert_array_equal(self.jet("-exp(z)"), -a)
+        a, b = self.jet_of("exp(z)"), self.jet_of("2 + sin(z)")
+        np.testing.assert_array_equal(self.jet_of("exp(z) - (2 + sin(z))"), a - b)
+        np.testing.assert_array_equal(self.jet_of("-exp(z)"), -a)
 
     def test_number_over_series(self):
-        b = self.jet("2 + sin(z)")
+        b = self.jet_of("2 + sin(z)")
         np.testing.assert_array_equal(
-            self.jet("2/(2 + sin(z))"), _series_div(np.r_[2, 0, 0, 0].astype(complex), b, 3))
+            self.jet_of("2/(2 + sin(z))"), _series_div(np.r_[2, 0, 0, 0].astype(complex), b, 3))
 
     def test_compose_exp_with_2t(self):
-        got = TruncatedSeries.from_expr(parse("exp(2*z)"), 0.0, 2).coefficients
+        got = jet(parse("exp(2*z)"), 0.0, 2)
         np.testing.assert_allclose(got, [1, 2, 2], atol=1e-15)
 
     def test_mul_then_div_round_trip(self):
@@ -134,29 +126,37 @@ class TestArithmetic:
             _divide(a, b, 1)
 
     def test_integer_powers(self):
-        cube = TruncatedSeries.from_expr(parse("(1+z)^3"), 0.0, 3)
-        np.testing.assert_allclose(cube.coefficients, [1, 3, 3, 1], atol=1e-14)
-        inverse = TruncatedSeries.from_expr(parse("(1+z)^(-1)"), 0.0, 3)
-        np.testing.assert_allclose(inverse.coefficients, [1, -1, 1, -1], atol=1e-14)
+        cube = jet(parse("(1+z)^3"), 0.0, 3)
+        np.testing.assert_allclose(cube, [1, 3, 3, 1], atol=1e-14)
+        inverse = jet(parse("(1+z)^(-1)"), 0.0, 3)
+        np.testing.assert_allclose(inverse, [1, -1, 1, -1], atol=1e-14)
 
     def test_immutability(self):
-        ts = TruncatedSeries([1.0, 2.0])
-        with pytest.raises((ValueError, AttributeError)):
-            ts.coefficients[0] = 5.0
+        # jet returns a read-only array of order + 1 entries, for a bare variable too
+        for text in ["z", "exp(z)", "(1+z)*(1-z)"]:
+            a = jet(parse(text), 0.0, 3)
+            assert a.dtype == np.complex128 and a.shape == (4,)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 5.0
 
-    @pytest.mark.parametrize("build,error,message", [
-        (lambda: TruncatedSeries.from_expr(parse("exp(z)"), 0.0, -1),
-         ValueError, "order must be >= 0"),
-        (lambda: TruncatedSeries([]), ValueError, "coefficients must be a non-empty 1-d sequence"),
-        (lambda: setattr(TruncatedSeries([1.0]), "coefficients", [2.0]),
-         AttributeError, "TruncatedSeries is immutable"),
-    ], ids=["negative-order", "empty", "rebind-coefficients"])
-    def test_invalid_use_is_rejected(self, build, error, message):
-        with pytest.raises(error, match=message):
+    @pytest.mark.parametrize("build,message", [
+        (lambda: jet(parse("exp(z)"), 0.0, -1), "order must be >= 0"),
+        (lambda: jet(parse("exp(z)"), 0.0, 171), "order must be <= 170"),
+        (lambda: oracle_coefficients(parse("exp(z)"), parse("sin(z)"), 0.1, -1),
+         "order must be >= 0"),
+        (lambda: oracle_coefficients(parse("exp(z)"), parse("sin(z)"), 0.1, 171),
+         "order must be <= 170"),
+    ], ids=["negative-order", "order-above-limit", "oracle-negative-order",
+            "oracle-order-above-limit"])
+    def test_invalid_use_is_rejected(self, build, message):
+        # series.MAX_ORDER bounds the jets as it bounds every other route
+        with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
-    def test_repr_lists_the_coefficients(self):
-        assert repr(TruncatedSeries([1.0, 2.0])) == "TruncatedSeries([(1+0j), (2+0j)])"
+    def test_order_at_the_limit_is_accepted(self):
+        assert jet(parse("exp(z)"), 0.0, 170).shape == (171,)
+        c = oracle_coefficients(parse("exp(z)"), parse("z"), 0.0, 170)
+        assert len(c) == 171 and c[170] == pytest.approx(1 / math.factorial(170), rel=1e-12)
 
 
 class TestOracleCoefficients:
@@ -236,8 +236,6 @@ def _jet_outcome(fn, *args) -> str:
         while exc.__cause__ is not None:
             exc = exc.__cause__
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(value, TruncatedSeries):
-        value = value.coefficients.tolist()
     return " ".join(f"{c.real.hex()},{c.imag.hex()}" for c in map(complex, value))
 
 
@@ -258,17 +256,17 @@ class TestRecordedJets:
         for _, f_text, s_text, z0 in CATALOG:
             f, s = parse(f_text), parse(s_text)
             for order in (0, 3, 8, 14, 40):
-                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, f, z0, order))
-                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, s, z0, order))
+                outcomes.append(_jet_outcome(jet, f, z0, order))
+                outcomes.append(_jet_outcome(jet, s, z0, order))
                 outcomes.append(_jet_outcome(oracle_coefficients, f, s, z0, order))
             chain = OperatorChain(f, s)
             for n in range(8):
-                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, chain.entry(n), z0, 6))
+                outcomes.append(_jet_outcome(jet, chain.entry(n), z0, 6))
         rng = np.random.default_rng(20261019)
         for _ in range(3000):
             e = test_expr.TestRandomizedTrees.random_tree(rng, int(rng.integers(2, 6)))
             for z in self.POINTS:
-                outcomes.append(_jet_outcome(TruncatedSeries.from_expr, e, z, 4))
+                outcomes.append(_jet_outcome(jet, e, z, 4))
         assert sum(": " in o for o in outcomes) > 3000  # the failing paths run too
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.JET_DIGEST
@@ -276,4 +274,4 @@ class TestRecordedJets:
     def test_numerator_fault_reported_first(self):
         # both fail at 0; the jet of the numerator is built first
         with pytest.raises(SingularAtExpansionPoint, match="^log at 0$"):
-            TruncatedSeries.from_expr(parse("log(z)/sqrt(z)"), 0, 3)
+            jet(parse("log(z)/sqrt(z)"), 0, 3)

@@ -83,6 +83,16 @@ class TestPositiveCoefficients:
         with pytest.raises(QuadratureSingularity):
             a_coefficients(parse("1/(z-1)"), parse("z"), UNIT, 1)
 
+    @pytest.mark.parametrize("theta,zero_point,outer,turns", [
+        ("z^2", 0.0, ContourSpec(0.0, 4.0), 2),
+        ("sin(z)", 0.0, ContourSpec(0.0, 4.0), 3),
+        ("z-3", 3.0, UNIT, 0),
+    ], ids=["z^2", "sin", "zero-outside"])
+    def test_theta_not_winding_once_rejected(self, theta, zero_point, outer, turns):
+        # the argument principle counts theta's zeros inside the outer contour
+        with pytest.raises(AnnulusViolation, match=f"^theta winds {turns} times around 0 "):
+            teixeira_expand(parse("exp(z)"), parse(theta), zero_point, outer, None, 2)
+
 
 class TestNegativeCoefficients:
     def test_entire_function_has_none(self):
