@@ -51,6 +51,7 @@ from funcseries.remainder import lagrange_bound
 from funcseries.series import ExpansionRequest, expand
 
 Z = var("z")
+HALF = Expr(POWER, (Z, const(Fraction(1, 2))))
 
 #: expressions exercised by the round-trip / derivative / simplify grids
 CORPUS = [
@@ -313,12 +314,31 @@ class TestSimplify:
         (parse("1/z + 1e308 + 1e308"), "inf"),
         (parse("2/(1e-310*z) + 1/z^2"), "inf"),
         (parse("(2/(1e-310*z))/z"), "inf"),
+        # a float coefficient folds on past an exact zero factor: inf * 0
+        (parse("1e308*10*0*z"), "nan"),
     ], ids=["sum", "coefficient", "coefficient-alone", "quotient", "power",
-            "like-terms", "sum-of-quotients", "term-quotient", "nested-quotient"])
+            "like-terms", "sum-of-quotients", "term-quotient", "nested-quotient",
+            "zero-after-overflow"])
     def test_constant_folded_beyond_double_range_is_singular(self, e, folded):
         with pytest.raises(SingularEvaluation,
                            match=f"^constant out of floating-point range: {folded}$"):
             simplify(e)
+
+    @pytest.mark.parametrize("text,want", [
+        # like terms whose factors repeat, which a set of factors cannot key
+        ("z^(1/2)*z^(1/2) + z^(1/2)*z^(1/2)", Expr(MULTIPLY, (const(2), HALF, HALF))),
+        ("z^(1/2)*z^(1/2)*z^(1/3) - z^(1/3)*z^(1/2)*z^(1/2)", const(0)),
+        # an integral float exponent merges as an exact integer
+        ("z^2.0*z", Expr(POWER, (Z, const(3)))),
+        # a float unit coefficient becomes a sign, as an exact one does
+        ("-1.0*z", Expr(NEGATE, (Z,))),
+        ("(-1)*(-1.0)*z", Z),
+        # an exact zero factor before the overflowing float product
+        ("0*1e308*10*z", const(0)),
+    ], ids=["repeated-factor-like-terms", "repeated-factors-cancel", "float-exponent-merges",
+            "float-minus-one", "float-plus-one", "zero-before-overflow"])
+    def test_rewrites_to_the_recorded_tree(self, text, want):
+        assert repr(simplify(parse(text))) == repr(want)
 
     @pytest.mark.parametrize("text", ["(1/3)^(10^6)", "(1/3)^(10^8)", "1.5^100000"])
     def test_oversized_constant_power_stays_a_power(self, text):
@@ -664,6 +684,24 @@ class TestRecordedDerivatives:
         assert sum(o.startswith("(") for o in outcomes) > 100  # the failing paths run too
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.DIGEST
+
+    #: sha256 of entries 0-14, one line each, of the 7 CATALOG pairs, then
+    #: of one pair per family drawn with seed 20261021
+    DEEP_DIGEST = "9350867068752101d054a03d7e09d1f746ee8017c47f3b8f08022ba2edfb816f"
+
+    def test_deep_ladder_entries_match_recorded_digest(self):
+        # the benchmark's ladders run to entry 14; DIGEST stops at entry 8
+        pairs = [(f_text, s_text) for _, f_text, s_text, _ in CATALOG]
+        rng = np.random.default_rng(20261021)
+        for f_text, s_text in self.FAMILIES:
+            p = {"a": self.param(rng), "b": self.param(rng)}
+            pairs.append((f_text.format(**p), s_text.format(**p)))
+        outcomes = []
+        for f_text, s_text in pairs:
+            chain = OperatorChain(parse(f_text), parse(s_text))
+            outcomes += [str(_outcome(chain.entry, n)) for n in range(15)]
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DEEP_DIGEST
 
 
 def _outcome(fn, *args):
