@@ -454,9 +454,15 @@ def _negated(e: Expr) -> Expr:
 def _split_power(f: Expr) -> tuple[Expr, int]:
     """(base, k) when f is base^k with k an integer, else (f, 1)."""
     if f.kind == POWER:
-        k = _int_exponent(f.args[1])
-        if k is not None:
-            return f.args[0], k
+        e = f.args[1]
+        v = e.value
+        if v.__class__ is Fraction and e.kind == CONST:  # read inline: the common case
+            if v.denominator == 1:
+                return f.args[0], v.numerator
+        else:
+            k = _int_exponent(e)
+            if k is not None:
+                return f.args[0], k
     return f, 1
 
 
@@ -527,10 +533,13 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
                 coeff, factors = -_ONE, [t.args[0]]
             else:
                 coeff, factors = _ONE, [t]
-            key = frozenset(Counter(factors).items())
-            if key in like:
-                like[key][0] += coeff
-                like[key][2] = None
+            key = frozenset(factors)
+            if len(key) < len(factors):  # a factor repeats: key the multiset
+                key = frozenset(Counter(factors).items())
+            entry = like.get(key)
+            if entry is not None:
+                entry[0] += coeff
+                entry[2] = None
             else:
                 keep = t if t.kind != NEGATE and coeff.__class__ is Fraction else None
                 like[key] = [coeff, factors, keep]
@@ -541,6 +550,7 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             continue
         if t is None:
             t = (factors[0] if coeff == 1 and len(factors) == 1
+                 else _simplify_multiply(factors, coeff) if coeff.__class__ is Fraction
                  else _simplify_multiply((const(coeff), *factors)))
         terms.append(t)
 
@@ -558,16 +568,16 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     return Expr(ADD, tuple(terms))
 
 
-def _tally_factors(parts) -> tuple[Counter, list[Expr]]:
+def _tally_factors(parts) -> tuple[dict[Expr, int], list[Expr]]:
     """Split factors into (base -> positive int exponent, opaque leftovers)."""
-    exps: Counter = Counter()
+    exps: dict[Expr, int] = {}
     opaque: list[Expr] = []
     for f in parts:
         base, exp = _split_power(f)
         if base.kind == CONST or exp < 1 or (base is f and f.kind == POWER):
             opaque.append(f)
         else:
-            exps[base] += exp
+            exps[base] = exps.get(base, 0) + exp
     return exps, opaque
 
 
@@ -588,7 +598,7 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
     for nums, cst, exps, opq in info:
         extra: list[Expr] = []
         for b, k in lcd_exps.items():
-            missing = k - exps[b]
+            missing = k - exps.get(b, 0)
             if missing:
                 extra.append(_power_of(b, missing))
         for o, k in lcd_opaque.items():
@@ -602,8 +612,9 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
     return _simplify_divide(num_node, den_node)
 
 
-def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
-    """Flatten and fold a product of already-simplified factors.
+def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
+    """Flatten and fold a product of already-simplified factors, times an
+    exact constant, as if const(constant) led the factors.
 
     Quotient factors are lifted (a * (b/c) -> a*b / c) so a simplified
     multiply never directly contains a divide; repeated bases merge
@@ -611,19 +622,24 @@ def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
     """
     factors: list[Expr] = []
     denominators: list[Expr] = []
-    constant: Number = _ONE
     stack = list(reversed(args))
     while stack:
         f = stack.pop()
-        if f.kind == MULTIPLY:
+        kind = f.kind
+        if kind == MULTIPLY:
             stack.extend(reversed(f.args))
-        elif f.kind == NEGATE:
+        elif kind == NEGATE:
             constant = -constant
             stack.append(f.args[0])
-        elif f.kind == CONST:
+        elif kind == CONST:
             v = f.value
-            constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
-        elif f.kind == DIVIDE:
+            if v.__class__ is not Fraction or constant.__class__ is not Fraction:
+                constant = constant * v  # a float coefficient folds on: inf * 0 is nan
+            elif not v:
+                return const(0)
+            else:
+                constant = v if constant is _ONE else constant * v
+        elif kind == DIVIDE:
             stack.append(f.args[0])
             denominators.append(f.args[1])
         else:
@@ -651,7 +667,7 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
     merged: list[list] = []  # [base, summed exponent or None (kept whole), factor to keep]
     open_entries: dict[Expr, list] = {}  # base -> its entry with an exponent
     for f in factors:
-        base, k = _split_power(f)
+        base, k = _split_power(f) if f.kind == POWER else (f, 1)
         entry = open_entries.get(base)
         if entry is not None:
             entry[1] += k
@@ -660,7 +676,8 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
             merged.append([f, None, f])
         else:
             keep = f if base is f or f.args[1].value.__class__ is Fraction else None
-            merged.append(open_entries.setdefault(base, [base, k, keep]))
+            open_entries[base] = entry = [base, k, keep]
+            merged.append(entry)
     rest: list[Expr] = []
     for base, k, f in merged:
         if k == 0:
@@ -671,14 +688,20 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
             constant = constant * f.value
         else:
             rest.append(f)
-    if constant == 0:
+    if constant.__class__ is Fraction:  # no Fraction.__eq__ calls
+        n = constant.numerator
+        unit = n if constant.denominator == 1 and (n == 1 or n == -1) else 0
+    else:
+        n = constant
+        unit = 1 if constant == 1 else -1 if constant == -1 else 0
+    if n == 0:
         return const(0)
     if not rest:
         return _in_range(const(constant))
-    if constant != 1 and constant != -1:
+    if not unit:
         rest.insert(0, _in_range(const(constant)))
     out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
-    return Expr(NEGATE, (out,)) if constant == -1 else out
+    return Expr(NEGATE, (out,)) if unit == -1 else out
 
 
 def _simplify_divide(num: Expr, den: Expr) -> Expr:
@@ -775,13 +798,13 @@ def _expand_terms(e: Expr) -> list[Expr]:
             out.extend(_expand_terms(t))
         return out
     if e.kind == NEGATE:
-        return [_simplify_multiply((const(-1), t)) for t in _expand_terms(e.args[0])]
-    if e.kind == MULTIPLY and any(f.kind == ADD for f in e.args):
+        return [_simplify_multiply((t,), -_ONE) for t in _expand_terms(e.args[0])]
+    sums = [f for f in e.args if f.kind == ADD] if e.kind == MULTIPLY else None
+    if sums:
         rest = [f for f in e.args if f.kind != ADD]
         combos: list[list[Expr]] = [[]]
-        for f in e.args:
-            if f.kind == ADD:
-                combos = [c + [t] for c in combos for t in f.args]
+        for f in sums:
+            combos = [c + [t] for c in combos for t in f.args]
         out = []
         for picks in combos:
             out.extend(_expand_terms(_simplify_multiply((*rest, *picks))))
@@ -809,7 +832,8 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
 
     # normalize the numerator to a collected sum of monomial terms so the
     # cancellation below can see every factor
-    num_product = _simplify_multiply((const(constant), *num_parts))
+    num_product = (_simplify_multiply(num_parts, constant) if constant.__class__ is Fraction
+                   else _simplify_multiply((const(constant), *num_parts)))
     expanded_terms = _expand_terms(num_product)
     if len(expanded_terms) > 1:
         num_product = _simplify_add(tuple(expanded_terms))
