@@ -455,14 +455,12 @@ def _split_power(f: Expr) -> tuple[Expr, int]:
     """(base, k) when f is base^k with k an integer, else (f, 1)."""
     if f.kind == POWER:
         e = f.args[1]
-        v = e.value
-        if v.__class__ is Fraction and e.kind == CONST:  # read inline: the common case
-            if v.denominator == 1:
-                return f.args[0], v.numerator
+        if e.value.__class__ is Fraction and e.kind == CONST:  # exact: read inline
+            k = e.value.numerator if e.value.denominator == 1 else None
         else:
             k = _int_exponent(e)
-            if k is not None:
-                return f.args[0], k
+        if k is not None:
+            return f.args[0], k
     return f, 1
 
 
@@ -622,6 +620,7 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
     """
     factors: list[Expr] = []
     denominators: list[Expr] = []
+    lead = None  # the constant factor last folded
     stack = list(reversed(args))
     while stack:
         f = stack.pop()
@@ -633,12 +632,10 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
             stack.append(f.args[0])
         elif kind == CONST:
             v = f.value
-            if v.__class__ is not Fraction or constant.__class__ is not Fraction:
-                constant = constant * v  # a float coefficient folds on: inf * 0 is nan
-            elif not v:
-                return const(0)
-            else:
-                constant = v if constant is _ONE else constant * v
+            if v.__class__ is Fraction and not v and constant.__class__ is Fraction:
+                return const(0)  # exact zeros only: a float folds on, inf * 0 is nan
+            constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
+            lead = f
         elif kind == DIVIDE:
             stack.append(f.args[0])
             denominators.append(f.args[1])
@@ -646,13 +643,13 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
             factors.append(f)
     if constant == 0:
         return const(0)
-    num = _rebuild_product(constant, factors)
+    num = _rebuild_product(constant, factors, lead)
     if denominators:
         return _simplify_divide(num, _simplify_multiply(tuple(denominators)))
     return num
 
 
-def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
+def _rebuild_product(constant: Number, factors: list[Expr], lead: Expr | None = None) -> Expr:
     """constant times the factors as one node.
 
     Repeated bases merge into integer powers (x * x^2 -> x^3), constant
@@ -688,18 +685,16 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
             constant = constant * f.value
         else:
             rest.append(f)
-    if constant.__class__ is Fraction:  # no Fraction.__eq__ calls
-        n = constant.numerator
-        unit = n if constant.denominator == 1 and (n == 1 or n == -1) else 0
-    else:
-        n = constant
-        unit = 1 if constant == 1 else -1 if constant == -1 else 0
+    exact = constant.__class__ is Fraction  # tested through numerator and denominator
+    n = constant.numerator if exact else constant
+    unit = n if (n == 1 or n == -1) and (not exact or constant.denominator == 1) else 0
     if n == 0:
         return const(0)
     if not rest:
         return _in_range(const(constant))
-    if not unit:
-        rest.insert(0, _in_range(const(constant)))
+    if not unit:  # an exact coefficient that is lead's value reuses lead
+        rest.insert(0, lead if exact and lead is not None and lead.value is constant
+                    else _in_range(const(constant)))
     out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
     return Expr(NEGATE, (out,)) if unit == -1 else out
 
@@ -759,13 +754,12 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
         parts, _, constant = _split_quotient(t)
         tally = _tally_factors(parts)[0]
         term_info.append((parts, constant))
-        common = tally if common is None else {
-            b: min(k, common[b]) for b, k in tally.items() if b in common}
+        if common is None:  # wanted first: most sums stop at their first term
+            common = {b: k for b, k in tally.items() if b in wanted}
+        else:
+            common = {b: min(k, common[b]) for b, k in tally.items() if b in common}
         if not common:
             return [], addnode
-    common = {b: k for b, k in common.items() if b in wanted}
-    if not common:
-        return [], addnode
 
     reduced_terms = []
     for parts, constant in term_info:
