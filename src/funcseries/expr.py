@@ -389,7 +389,8 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # denominator factors and its signed constant, and _split_power reads a
 # factor's base and integer exponent.  A builder keeps the node it was
 # given where the rebuild would have the same repr (== is not enough):
-# _rebuild_product a factor whose base met no other, _simplify_add a term
+# _rebuild_product a factor whose base met no other, and the constant
+# factor whose exact value is the whole coefficient, _simplify_add a term
 # that met no like term.  Three rebuilds change the repr and still run:
 # an integral float exponent (x^2.0 -> x^2), a NEGATE term (-(-3*x) ->
 # 3*x) and a non-Fraction coefficient ((-0-1.5j) -> -1.5j).
@@ -525,12 +526,12 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             if t.kind == CONST:
                 constant = constant + t.value
                 continue
-            if not _is_quotient(t):
-                factors, _, coeff = _split_quotient(t)
-            elif t.kind == NEGATE:  # a quotient stays whole
+            if t.kind == DIVIDE:  # a quotient stays whole
+                coeff, factors = _ONE, [t]
+            elif t.kind == NEGATE and t.args[0].kind == DIVIDE:
                 coeff, factors = -_ONE, [t.args[0]]
             else:
-                coeff, factors = _ONE, [t]
+                factors, _, coeff = _split_quotient(t)
             key = frozenset(factors)
             if len(key) < len(factors):  # a factor repeats: key the multiset
                 key = frozenset(Counter(factors).items())
@@ -632,8 +633,6 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
             stack.append(f.args[0])
         elif kind == CONST:
             v = f.value
-            if v.__class__ is Fraction and not v and constant.__class__ is Fraction:
-                return const(0)  # exact zeros only: a float folds on, inf * 0 is nan
             constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
             lead = f
         elif kind == DIVIDE:
@@ -692,9 +691,9 @@ def _rebuild_product(constant: Number, factors: list[Expr], lead: Expr | None = 
         return const(0)
     if not rest:
         return _in_range(const(constant))
-    if not unit:  # an exact coefficient that is lead's value reuses lead
-        rest.insert(0, lead if exact and lead is not None and lead.value is constant
-                    else _in_range(const(constant)))
+    if not unit:  # an exact coefficient that is lead's value: lead has its repr
+        same = exact and lead is not None and lead.value is constant and not lead.args
+        rest.insert(0, lead if same and not lead.name else _in_range(const(constant)))
     out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
     return Expr(NEGATE, (out,)) if unit == -1 else out
 
@@ -752,12 +751,14 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
     common: dict[Expr, int] | None = None
     for t in addnode.args:
         parts, _, constant = _split_quotient(t)
-        tally = _tally_factors(parts)[0]
         term_info.append((parts, constant))
-        if common is None:  # wanted first: most sums stop at their first term
-            common = {b: k for b, k in tally.items() if b in wanted}
-        else:
-            common = {b: min(k, common[b]) for b, k in tally.items() if b in common}
+        # _tally_factors of the term, kept to the bases still in common
+        keys, tally = (wanted if common is None else common), {}
+        for f in parts:
+            base, exp = _split_power(f)
+            if exp >= 1 and base in keys and not (base is f and f.kind == POWER):
+                tally[base] = tally.get(base, 0) + exp
+        common = tally if common is None else {b: min(k, common[b]) for b, k in tally.items()}
         if not common:
             return [], addnode
 

@@ -316,9 +316,12 @@ class TestSimplify:
         (parse("(2/(1e-310*z))/z"), "inf"),
         # a float coefficient folds on past an exact zero factor: inf * 0
         (parse("1e308*10*0*z"), "nan"),
+        # and past an exact zero before it: 0.0 * 2^1200 converts 2^1200
+        (multiply(const(0), parse("0.5*z"), parse("2^1200*z")),
+         "integer division result too large for a float"),
     ], ids=["sum", "coefficient", "coefficient-alone", "quotient", "power",
             "like-terms", "sum-of-quotients", "term-quotient", "nested-quotient",
-            "zero-after-overflow"])
+            "zero-after-overflow", "zero-before-float"])
     def test_constant_folded_beyond_double_range_is_singular(self, e, folded):
         with pytest.raises(SingularEvaluation,
                            match=f"^constant out of floating-point range: {folded}$"):
