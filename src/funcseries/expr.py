@@ -389,8 +389,7 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # denominator factors and its signed constant, and _split_power reads a
 # factor's base and integer exponent.  A builder keeps the node it was
 # given where the rebuild would have the same repr (== is not enough):
-# _rebuild_product a factor whose base met no other, and the constant
-# factor whose exact value is the whole coefficient, _simplify_add a term
+# _rebuild_product a factor whose base met no other, _simplify_add a term
 # that met no like term.  Three rebuilds change the repr and still run:
 # an integral float exponent (x^2.0 -> x^2), a NEGATE term (-(-3*x) ->
 # 3*x) and a non-Fraction coefficient ((-0-1.5j) -> -1.5j).
@@ -549,7 +548,6 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
             continue
         if t is None:
             t = (factors[0] if coeff == 1 and len(factors) == 1
-                 else _simplify_multiply(factors, coeff) if coeff.__class__ is Fraction
                  else _simplify_multiply((const(coeff), *factors)))
         terms.append(t)
 
@@ -611,9 +609,8 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
     return _simplify_divide(num_node, den_node)
 
 
-def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
-    """Flatten and fold a product of already-simplified factors, times an
-    exact constant, as if const(constant) led the factors.
+def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
+    """Flatten and fold a product of already-simplified factors.
 
     Quotient factors are lifted (a * (b/c) -> a*b / c) so a simplified
     multiply never directly contains a divide; repeated bases merge
@@ -621,7 +618,7 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
     """
     factors: list[Expr] = []
     denominators: list[Expr] = []
-    lead = None  # the constant factor last folded
+    constant: Number = _ONE
     stack = list(reversed(args))
     while stack:
         f = stack.pop()
@@ -634,7 +631,6 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
         elif kind == CONST:
             v = f.value
             constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
-            lead = f
         elif kind == DIVIDE:
             stack.append(f.args[0])
             denominators.append(f.args[1])
@@ -642,13 +638,13 @@ def _simplify_multiply(args, constant: Fraction = _ONE) -> Expr:
             factors.append(f)
     if constant == 0:
         return const(0)
-    num = _rebuild_product(constant, factors, lead)
+    num = _rebuild_product(constant, factors)
     if denominators:
         return _simplify_divide(num, _simplify_multiply(tuple(denominators)))
     return num
 
 
-def _rebuild_product(constant: Number, factors: list[Expr], lead: Expr | None = None) -> Expr:
+def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
     """constant times the factors as one node.
 
     Repeated bases merge into integer powers (x * x^2 -> x^3), constant
@@ -691,9 +687,8 @@ def _rebuild_product(constant: Number, factors: list[Expr], lead: Expr | None = 
         return const(0)
     if not rest:
         return _in_range(const(constant))
-    if not unit:  # an exact coefficient that is lead's value: lead has its repr
-        same = exact and lead is not None and lead.value is constant and not lead.args
-        rest.insert(0, lead if same and not lead.name else _in_range(const(constant)))
+    if not unit:
+        rest.insert(0, _in_range(const(constant)))
     out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
     return Expr(NEGATE, (out,)) if unit == -1 else out
 
@@ -793,7 +788,7 @@ def _expand_terms(e: Expr) -> list[Expr]:
             out.extend(_expand_terms(t))
         return out
     if e.kind == NEGATE:
-        return [_simplify_multiply((t,), -_ONE) for t in _expand_terms(e.args[0])]
+        return [_simplify_multiply((const(-1), t)) for t in _expand_terms(e.args[0])]
     sums = [f for f in e.args if f.kind == ADD] if e.kind == MULTIPLY else None
     if sums:
         rest = [f for f in e.args if f.kind != ADD]
@@ -827,8 +822,7 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
 
     # normalize the numerator to a collected sum of monomial terms so the
     # cancellation below can see every factor
-    num_product = (_simplify_multiply(num_parts, constant) if constant.__class__ is Fraction
-                   else _simplify_multiply((const(constant), *num_parts)))
+    num_product = _simplify_multiply((const(constant), *num_parts))
     expanded_terms = _expand_terms(num_product)
     if len(expanded_terms) > 1:
         num_product = _simplify_add(tuple(expanded_terms))
