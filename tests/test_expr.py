@@ -706,6 +706,76 @@ class TestRecordedDerivatives:
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.DEEP_DIGEST
 
+    #: constants of the quotients below: signed zeros, complex and exact
+    #: non-integer values, and zero coefficients; one quotient in five also
+    #: draws 2**1200, which no float can hold
+    QUOTIENT_LEAVES = [const(2), const(-3), const(Fraction(2, 3)), const(-1), const(2),
+                       const(Fraction(-5, 7)), const(0.5), const(-0.0), const(1.5j),
+                       const(-1.5j), const(0)]
+
+    @classmethod
+    def quotient(cls, rng):
+        """divide(num, den) shaped like a ladder step: num is N'*D - N*D'-like,
+        sums of products that hold sums, negated sums and powers; den is a
+        product of integer powers of sums and calls.  Bases come from a small
+        pool, so they repeat."""
+        pick = lambda seq: seq[rng.integers(len(seq))]
+        leaves = cls.QUOTIENT_LEAVES + [const(2 ** 1200)] * (rng.random() < 0.2)
+        shift = const(Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 12))))
+        bases = [Z, call("sin", Z), call("cos", Z), Expr(ADD, (Z, shift)),
+                 Expr(ADD, (const(1), call("sin", Z))), call("exp", Expr(ADD, (Z, shift)))]
+
+        def factor(depth):
+            roll = rng.integers(8)
+            if roll < 3 or depth == 0:
+                b = pick(bases)
+                k = pick([1, 1, 2, 3, 7, -1, -2, Fraction(1, 2), 1.5, 2.0])
+                return b if k == 1 else Expr(POWER, (b, const(k)))
+            if roll == 3:
+                return pick(leaves)
+            if roll == 4:
+                return Expr(NEGATE, (total(depth - 1),))
+            if roll == 5:
+                return Expr(DIVIDE, (term(depth - 1), Expr(POWER, (pick(bases), const(2)))))
+            return total(depth - 1)
+
+        def term(depth):
+            parts = [factor(depth) for _ in range(int(rng.integers(1, 4)))]
+            if rng.random() < 0.6:
+                parts.insert(0, pick(leaves))
+            t = Expr(MULTIPLY, tuple(parts)) if len(parts) > 1 else parts[0]
+            return Expr(NEGATE, (t,)) if rng.random() < 0.3 else t
+
+        def total(depth):
+            return Expr(ADD, tuple(term(depth) for _ in range(int(rng.integers(2, 4)))))
+
+        num = total(2)
+        den = Expr(MULTIPLY, tuple(Expr(POWER, (pick(bases[1:]), const(int(rng.integers(1, 5)))))
+                                   for _ in range(int(rng.integers(1, 4)))))
+        if rng.random() < 0.3:  # the ladder's /s' around a /D^2
+            num, den = divide(num, den), Expr(ADD, (call("cos", Z), pick(leaves)))
+        return divide(num, den)
+
+    #: sha256 of the outcomes, one line each, of simplify(q) for 220
+    #: quotients drawn with seed 20261022, each followed by that of q rebuilt
+    #: from its simplified numerator and denominator, passed as simplified
+    QUOTIENT_DIGEST = "929743c08def9e75768c91fb0c2882e6fbeb1e5aa3ca053a254de7686a7f5ae6"
+
+    def test_quotients_match_recorded_digest(self):
+        rng = np.random.default_rng(20261022)
+        outcomes = []
+        for _ in range(220):
+            q = self.quotient(rng)
+            outcomes.append(str(_outcome(simplify, q)))
+            try:
+                parts = tuple(simplify(a) for a in q.args)
+            except (FuncSeriesError, ArithmeticError):
+                continue
+            outcomes.append(str(_outcome(simplify, Expr(DIVIDE, parts), parts)))
+        assert sum(o.startswith("(") for o in outcomes) > 10  # the failing paths run too
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.QUOTIENT_DIGEST
+
 
 def _outcome(fn, *args):
     """repr of the value (signed zeros included), or the exception raised."""
