@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .errors import (
     MultipleVariables,
@@ -379,20 +379,29 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # elimination, flattening of nested add/multiply, merging of repeated
 # integer-power factors, and x/x -> 1 by structural equality.  Each
 # subtree of a result is its own simplified form, but quotients iterate:
-# _divide_core simplifies its rewrite again until a call returns its
-# input unchanged (three calls deep on rational-in-sine's ladder).
+# _divide_core simplifies its rewrite again, and stops where _settled
+# shows that the next call would return its input unchanged.
 #
 # Node shapes the rules share have one builder each: _power_of (base^k
-# for an integer k), _negated (minus a simplified node) and
-# _rebuild_product (a signed product with repeated bases merged).  They
-# have one reader each: _split_quotient reads a term's numerator and
-# denominator factors and its signed constant, and _split_power reads a
-# factor's base and integer exponent.  A builder keeps the node it was
-# given where the rebuild would have the same repr (== is not enough):
-# _rebuild_product a factor whose base met no other, _simplify_add a term
-# that met no like term.  Three rebuilds change the repr and still run:
-# an integral float exponent (x^2.0 -> x^2), a NEGATE term (-(-3*x) ->
-# 3*x) and a non-Fraction coefficient ((-0-1.5j) -> -1.5j).
+# for an integer k), _negated (minus a simplified node) and _node (a
+# signed product with its coefficient).  They have one reader each:
+# _split_quotient reads a term's numerator and denominator factors and
+# its signed constant, and _split_power reads a factor's base and integer
+# exponent.  A builder keeps the node it was given where the rebuild
+# would have the same repr (== is not enough): _merge a factor whose base
+# met no other, _collect a term that met no like term.  Three rebuilds
+# change the repr and still run: an integral float exponent (x^2.0 ->
+# x^2), a NEGATE term (-(-3*x) -> 3*x) and a non-Fraction coefficient
+# ((-0-1.5j) -> -1.5j).
+#
+# A product is a term until it is kept: _product_term folds it
+# (_flatten, _merge) to what _split_quotient would read back from its
+# node, and _node builds that node only for a term that survives.  A
+# quotient's numerator is expanded (_expand), collected (_collect) and
+# has common factors taken out (_extract_common_factors) as terms, so
+# only the terms of its final sum become nodes.  Every coefficient goes
+# through the same products and sums, in the same order, as when each
+# node was built and read back, so results are bit for bit the same.
 #
 # A simplify call memoizes in one dict that lives for that call only and
 # is passed down: threads share trees (and ladders), never a memo.
@@ -404,7 +413,7 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # A float or complex constant out of double range would print as inf or
 # nan.  _in_range raises on one where simplify reads it (a leaf) or folds
 # it: a sum's constant, a product's coefficient, a constant quotient or
-# power.  Every other folded value reaches _rebuild_product's check.
+# power.  Every other folded value reaches _term's check.
 # --------------------------------------------------------------------------
 
 #: the exact 1 a product's coefficient starts from: a Fraction times it
@@ -517,52 +526,88 @@ def _simplify(e: Expr, memo: dict) -> Expr:
 
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
-    # factor multiset -> [summed coefficient, factors as first seen, term to keep]
+    return _sum_node(_collect(_flat(args)))
+
+
+def _flat(terms) -> list:
+    """The terms, each sum node replaced by its terms."""
+    return [u for t in terms for u in (t.args if t.__class__ is Expr and t.kind == ADD else (t,))]
+
+
+def _collect(terms: list) -> list | Expr:
+    """Combine like terms (nodes or product terms) of a sum exactly.
+
+    Returns the surviving terms in order as (factors, coefficient, term),
+    the folded constant last when it is nonzero or nothing else survives;
+    factors and coefficient are what _split_quotient reads from the term's
+    node, or None for a rebuilt node, read when needed.  A sum that keeps a
+    quotient beside another term is returned as one quotient node instead.
+    """
+    # factor multiset -> [summed coefficient, factors as first seen, term to
+    # keep, whether those factors are a product term's (stable, see _merge)]
     like: dict[frozenset, list] = {}
     constant: Number = Fraction(0)
-    for a in args:
-        for t in (a.args if a.kind == ADD else (a,)):
-            if t.kind == CONST:
+    for t in terms:
+        if t.__class__ is Expr:
+            kind = t.kind
+            if kind == CONST:
                 constant = constant + t.value
                 continue
-            if t.kind == DIVIDE:  # a quotient stays whole
+            if kind == DIVIDE:  # a quotient stays whole
                 coeff, factors = _ONE, [t]
-            elif t.kind == NEGATE and t.args[0].kind == DIVIDE:
+            elif kind == NEGATE and t.args[0].kind == DIVIDE:
                 coeff, factors = -_ONE, [t.args[0]]
             else:
                 factors, _, coeff = _split_quotient(t)
-            key = frozenset(factors)
-            if len(key) < len(factors):  # a factor repeats: key the multiset
-                key = frozenset(Counter(factors).items())
-            entry = like.get(key)
-            if entry is not None:
-                entry[0] += coeff
-                entry[2] = None
-            else:
-                keep = t if t.kind != NEGATE and coeff.__class__ is Fraction else None
-                like[key] = [coeff, factors, keep]
+            keep = t if kind != NEGATE and coeff.__class__ is Fraction else None
+        else:
+            coeff, factors, sign, _ = t
+            keep = t if sign != -1 and coeff.__class__ is Fraction else None
+        key = frozenset(factors)
+        if len(key) < len(factors):  # a factor repeats: key the multiset
+            key = frozenset(Counter(factors).items())
+        entry = like.get(key)
+        if entry is not None:
+            entry[0] += coeff
+            entry[2] = None
+        else:
+            like[key] = [coeff, factors, keep, t.__class__ is tuple]
 
-    terms: list[Expr] = []
-    for coeff, factors, t in like.values():
+    out: list[tuple] = []
+    quotients = False
+    for coeff, factors, t, stable in like.values():
         if coeff == 0:
             continue
-        if t is None:
-            t = (factors[0] if coeff == 1 and len(factors) == 1
-                 else _simplify_multiply((const(coeff), *factors)))
-        terms.append(t)
+        if t is None:  # _simplify_multiply((const(coeff), *factors)), as a term
+            if coeff == 1 and len(factors) == 1:
+                t = factors[0]
+            elif stable:  # which _flatten and _merge keep as they are
+                t = _term(coeff if coeff.__class__ is Fraction else _ONE * const(coeff).value,
+                          factors)
+            else:
+                t = _product_term((const(coeff), *factors))
+            factors, coeff = (None, None) if t.__class__ is Expr else (t[1], t[0])
+        quotients = quotients or (t.__class__ is Expr and _is_quotient(t))
+        out.append((factors, coeff, t))
 
     # bring sums of quotients over one denominator so like terms can meet
-    if any(_is_quotient(t) for t in terms) and len(terms) + (constant != 0) > 1:
-        combined = list(terms)
+    if quotients and len(out) + (constant != 0) > 1:
+        combined = [_node(t) for _, _, t in out]
         if constant != 0:
             combined.append(_in_range(const(constant)))
         return _combine_quotients(combined)
+    if constant != 0 or not out:
+        out.append((None, None, _in_range(const(constant))))
+    return out
 
-    if constant != 0 or not terms:
-        terms.append(_in_range(const(constant)))
-    if len(terms) == 1:
-        return terms[0]
-    return Expr(ADD, tuple(terms))
+
+def _sum_node(collected: list | Expr) -> Expr:
+    """The node of what _collect returns."""
+    if collected.__class__ is Expr:
+        return collected
+    if len(collected) == 1:
+        return _node(collected[0][2])
+    return Expr(ADD, tuple([_node(t) for _, _, t in collected]))
 
 
 def _tally_factors(parts) -> tuple[dict[Expr, int], list[Expr]]:
@@ -609,16 +654,13 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
     return _simplify_divide(num_node, den_node)
 
 
-def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
-    """Flatten and fold a product of already-simplified factors.
-
-    Quotient factors are lifted (a * (b/c) -> a*b / c) so a simplified
-    multiply never directly contains a divide; repeated bases merge
-    into integer powers.
-    """
+def _flatten(args) -> tuple:
+    """(coefficient, factors, denominators) of the product of simplified
+    args: nested products flatten, a negation flips the sign, constants
+    multiply in and a quotient's denominator is set aside."""
+    constant: Number = _ONE
     factors: list[Expr] = []
     denominators: list[Expr] = []
-    constant: Number = _ONE
     stack = list(reversed(args))
     while stack:
         f = stack.pop()
@@ -636,30 +678,58 @@ def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
             denominators.append(f.args[1])
         else:
             factors.append(f)
+    return constant, factors, denominators
+
+
+def _simplify_multiply(args: tuple[Expr, ...]) -> Expr:
+    """Flatten and fold a product of already-simplified factors.
+
+    Quotient factors are lifted (a * (b/c) -> a*b / c) so a simplified
+    multiply never directly contains a divide; repeated bases merge
+    into integer powers.
+    """
+    return _node(_product_term(args))
+
+
+def _product_term(args):
+    """_simplify_multiply(args) as a term (see _term)."""
+    constant, factors, denominators = _flatten(args)
     if constant == 0:
         return const(0)
-    num = _rebuild_product(constant, factors)
     if denominators:
-        return _simplify_divide(num, _simplify_multiply(tuple(denominators)))
-    return num
+        return _simplify_divide(_rebuild_product(constant, factors),
+                                _simplify_multiply(tuple(denominators)))
+    return _term(*_merge(constant, factors))
 
 
 def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
-    """constant times the factors as one node.
+    """constant times the factors as one node (see _merge)."""
+    return _node(_term(*_merge(constant, factors)))
 
-    Repeated bases merge into integer powers (x * x^2 -> x^3), constant
-    factors fold into the coefficient, and a coefficient of -1 becomes a
-    negation.  A power with a non-integer exponent merges into an earlier
-    entry of that whole power as base, but never starts an entry.  A
-    factor whose base meets no other is kept as it is unless its exponent
-    is not a Fraction (x^2.0 is rebuilt as x^2), as _simplify_add keeps a
-    term that meets no like term unless it is a NEGATE or its coefficient
-    is not a Fraction.
+
+def _merge(constant: Number, factors: list[Expr]) -> tuple[Number, list[Expr], bool]:
+    """(coefficient, factors, stable) of constant times the factors.
+
+    Repeated bases merge into integer powers (x * x^2 -> x^3) and constant
+    factors fold into the coefficient.  A power with a non-integer
+    exponent merges into an earlier entry of that whole power as base, but
+    never starts an entry.  A factor whose base meets no other is kept as
+    it is unless its exponent is not a Fraction (x^2.0 is rebuilt as x^2),
+    as _collect keeps a term that meets no like term unless it is negated
+    or its coefficient is not a Fraction.  The factors are stable
+    (_flatten and _merge return them as they are) unless one is a product,
+    a negation or a quotient, or is a base that is a power, left alone by
+    exponents that sum to 1.
     """
     merged: list[list] = []  # [base, summed exponent or None (kept whole), factor to keep]
     open_entries: dict[Expr, list] = {}  # base -> its entry with an exponent
+    stable = True
     for f in factors:
-        base, k = _split_power(f) if f.kind == POWER else (f, 1)
+        if f.kind == POWER:
+            base, k = _split_power(f)
+        else:
+            base, k = f, 1
+            stable = stable and f.kind not in _UNSTABLE
         entry = open_entries.get(base)
         if entry is not None:
             entry[1] += k
@@ -676,21 +746,110 @@ def _rebuild_product(constant: Number, factors: list[Expr]) -> Expr:
             continue
         if f is None:
             f = _power_of(base, k)
+            stable = stable and (f is not base or base.kind not in _UNSTABLE)
         if f.kind == CONST:
             constant = constant * f.value
         else:
             rest.append(f)
+    return constant, rest, stable
+
+
+#: kinds of a factor that _flatten or _split_power takes apart
+_UNSTABLE = (MULTIPLY, NEGATE, DIVIDE, POWER)
+
+#: the value of const(-1), which a negated product starts from
+_MINUS_ONE = const(-1).value
+
+
+def _term(constant: Number, factors: list[Expr], stable: bool = True):
+    """constant times merged factors as a term: the node _node builds where
+    that node costs nothing, is a constant or has unstable factors (see
+    _merge), else (coefficient as _split_quotient reads it from that node,
+    factors, sign, coefficient value).  The node is 0 or the constant
+    without factors, a lone factor times 1, or the product of the factors
+    after a coefficient node (sign 0); a coefficient of 1 or -1 gets none
+    (sign 1 or -1), and -1 negates the product.
+    """
     exact = constant.__class__ is Fraction  # tested through numerator and denominator
     n = constant.numerator if exact else constant
-    unit = n if (n == 1 or n == -1) and (not exact or constant.denominator == 1) else 0
     if n == 0:
         return const(0)
-    if not rest:
+    if not factors:
         return _in_range(const(constant))
-    if not unit:
-        rest.insert(0, _in_range(const(constant)))
-    out = rest[0] if len(rest) == 1 else Expr(MULTIPLY, tuple(rest))
-    return Expr(NEGATE, (out,)) if unit == -1 else out
+    if (n == 1 or n == -1) and (not exact or constant.denominator == 1):
+        if n == 1 and len(factors) == 1:
+            return factors[0]
+        t = (_ONE, factors, 1, None) if n == 1 else (_MINUS_ONE, factors, -1, None)
+    elif exact:  # const(constant) holds an equal Fraction
+        t = constant, factors, 0, constant
+    else:
+        v = _in_range(const(constant)).value
+        t = 1 * (_ONE * v), factors, 0, v
+    return t if stable else _node(t)
+
+
+def _node(t) -> Expr:
+    """The node of a term."""
+    if t.__class__ is Expr:
+        return t
+    _, factors, sign, v = t
+    if not sign:
+        factors = (const(v), *factors)
+    out = factors[0] if len(factors) == 1 else Expr(MULTIPLY, tuple(factors))
+    return Expr(NEGATE, (out,)) if sign == -1 else out
+
+
+def _expand(t, out: list) -> None:
+    """Append the terms of t (a node or a term), each product distributed
+    over its sum factors and each minus carried into a coefficient, as
+    _simplify_multiply would build them.  Powers of sums stay atomic; the
+    terms add up to t exactly."""
+    if t.__class__ is Expr:
+        kind = t.kind
+        if kind == ADD:
+            for a in t.args:
+                _expand(a, out)
+            return
+        if kind != NEGATE:
+            if kind == MULTIPLY and any([f.kind == ADD for f in t.args]):
+                _distribute(t.args, out)
+            else:
+                out.append(t)
+            return
+        inner = t.args[0]
+    else:
+        _, factors, sign, v = t
+        if sign != -1:
+            if any([f.kind == ADD for f in factors]):
+                _distribute(factors if sign else (const(v), *factors), out)
+            else:
+                out.append(t)
+            return
+        inner = factors[0] if len(factors) == 1 else (_ONE, factors, 1, None)
+    negated: list = []
+    _expand(inner, negated)
+    out.extend([_negated_term(u) for u in negated])
+
+
+def _negated_term(t):
+    """_simplify_multiply((const(-1), node of t)) as a term."""
+    if t.__class__ is Expr:
+        return _product_term((const(-1), t))
+    _, factors, sign, v = t  # stable: _flatten and _merge keep them
+    return _term(_MINUS_ONE * v if not sign else _MINUS_ONE if sign == 1 else -_MINUS_ONE,
+                 factors)
+
+
+def _distribute(factors, out: list) -> None:
+    """Append the terms of the product of the factors, some of them sums:
+    each product of one term per sum, expanded in turn."""
+    head = [f for f in factors if f.kind != ADD]
+    combos: list[tuple] = [()]
+    for f in factors:
+        if f.kind == ADD:
+            combos = [c + (t,) for c in combos for t in f.args]
+    for picks in combos:
+        _expand(_product_term((*head, *picks)), out)
 
 
 def _simplify_divide(num: Expr, den: Expr) -> Expr:
@@ -735,30 +894,43 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
     return nums, dens, sign * constant
 
 
-def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr], Expr]:
+def _summands(total) -> Iterator[tuple]:
+    """(factors, coefficient, term) of each term of a sum node or of a
+    _collect list, factors and coefficient as _split_quotient reads them."""
+    for factors, coeff, t in (total if total.__class__ is list
+                              else [(None, None, t) for t in total.args]):
+        if factors is None:
+            factors, _, coeff = _split_quotient(t)
+        yield factors, coeff, t
+
+
+def _extract_common_factors(terms, wanted: set[Expr]) -> tuple | None:
     """Pull factors shared by every term of a sum, restricted to wanted bases.
 
-    Returns (factor nodes, reduced sum); the product of both equals the
-    input exactly.  Used so a sum-numerator can cancel against the
-    denominator of the enclosing quotient.
+    terms yields the sum's terms as _summands does.  Returns (factor nodes,
+    reduced sum as _collect returns it), whose product equals the sum
+    exactly, or None when no factor is shared.  Used so a sum-numerator
+    can cancel against the denominator of the enclosing quotient.
     """
     term_info = []
     common: dict[Expr, int] | None = None
-    for t in addnode.args:
-        parts, _, constant = _split_quotient(t)
-        term_info.append((parts, constant))
+    for term in terms:
+        term_info.append(term)
         # _tally_factors of the term, kept to the bases still in common
         keys, tally = (wanted if common is None else common), {}
-        for f in parts:
+        for f in term[0]:
             base, exp = _split_power(f)
             if exp >= 1 and base in keys and not (base is f and f.kind == POWER):
                 tally[base] = tally.get(base, 0) + exp
         common = tally if common is None else {b: min(k, common[b]) for b, k in tally.items()}
         if not common:
-            return [], addnode
+            return None
 
     reduced_terms = []
-    for parts, constant in term_info:
+    for parts, constant, t in term_info:
+        # a product term's factors stay stable with lower powers of their
+        # bases, unless a base left alone is a power
+        stable = t.__class__ is tuple
         remaining = dict(common)
         kept: list[Expr] = []
         for f in parts:
@@ -769,37 +941,12 @@ def _extract_common_factors(addnode: Expr, wanted: set[Expr]) -> tuple[list[Expr
                 remaining[base] = take - drop
                 if exp > drop:
                     kept.append(_power_of(base, exp - drop))
+                    stable = stable and (exp - drop > 1 or base.kind not in _UNSTABLE)
             else:
                 kept.append(f)
-        reduced_terms.append(_rebuild_product(constant, kept))
+        reduced_terms.append(_term(constant, kept) if stable else _term(*_merge(constant, kept)))
     factors = [_power_of(b, k) for b, k in common.items()]
-    return factors, _simplify_add(tuple(reduced_terms))
-
-
-def _expand_terms(e: Expr) -> list[Expr]:
-    """Distribute products over sums, returning flat monomial-like terms.
-
-    Powers of sums stay atomic; only explicit sum factors multiply out.
-    The returned terms add up to e exactly.
-    """
-    if e.kind == ADD:
-        out: list[Expr] = []
-        for t in e.args:
-            out.extend(_expand_terms(t))
-        return out
-    if e.kind == NEGATE:
-        return [_simplify_multiply((const(-1), t)) for t in _expand_terms(e.args[0])]
-    sums = [f for f in e.args if f.kind == ADD] if e.kind == MULTIPLY else None
-    if sums:
-        rest = [f for f in e.args if f.kind != ADD]
-        combos: list[list[Expr]] = [[]]
-        for f in sums:
-            combos = [c + [t] for c in combos for t in f.args]
-        out = []
-        for picks in combos:
-            out.extend(_expand_terms(_simplify_multiply((*rest, *picks))))
-        return out
-    return [e]
+    return factors, _collect(_flat(reduced_terms))
 
 
 def _divide_core(num: Expr, den: Expr) -> Expr:
@@ -815,34 +962,39 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
     # flatten nested quotients into one numerator/denominator factor list
     n_nums, n_dens, n_const = _split_quotient(num)
     d_nums, d_dens, d_const = _split_quotient(den)
-    num_parts = n_nums + d_dens
+    num_parts: list = n_nums + d_dens
     den_parts = n_dens + d_nums
-    constant: Number = n_const
     divide_by: Number = d_const
 
     # normalize the numerator to a collected sum of monomial terms so the
-    # cancellation below can see every factor
-    num_product = _simplify_multiply((const(constant), *num_parts))
-    expanded_terms = _expand_terms(num_product)
-    if len(expanded_terms) > 1:
-        num_product = _simplify_add(tuple(expanded_terms))
+    # cancellation below can see every factor; a sum stays a _collect list
+    terms: list = []
+    _expand(_product_term((const(n_const), *num_parts)), terms)
+    total = _collect(_flat(terms)) if len(terms) > 1 else _node(terms[0])
+    if total.__class__ is list and len(total) > 1:
+        num_parts, constant = [total], _ONE
     else:
-        num_product = expanded_terms[0]
-    num_parts, stray_dens, constant = _split_quotient(num_product)
-    den_parts = den_parts + stray_dens
+        num_parts, stray_dens, constant = _split_quotient(_sum_node(total))
+        den_parts = den_parts + stray_dens
 
-    # a sum-numerator can still cancel if all its terms share denominator bases
+    # a sum-numerator can still cancel if all its terms share denominator
+    # bases; summed is the sum node built from a _collect list, if any, and
+    # scanned the bases that list was found to share none of
     den_bases = set(_tally_factors(den_parts)[0])
-    if den_bases:
-        expanded: list[Expr] = []
-        for part in num_parts:
-            if part.kind == ADD:
-                got, reduced = _extract_common_factors(part, den_bases)
-                expanded.extend(got)
-                expanded.append(reduced)
-            else:
-                expanded.append(part)
-        num_parts = expanded
+    summed = None
+    expanded: list[Expr] = []
+    for part in num_parts:
+        if part.__class__ is list or (den_bases and part.kind == ADD):
+            got = _extract_common_factors(_summands(part), den_bases) if den_bases else None
+            if got is not None:
+                expanded.extend(got[0])
+                part = got[1]
+            if part.__class__ is list:
+                collected, scanned = part, (den_bases if got is None else set())
+                summed = _sum_node(part) if len(part) > 1 else None
+                part = summed or _sum_node(part)
+        expanded.append(part)
+    num_parts = expanded
 
     # cancel shared bases power-aware and multiset-wise: keys are bases,
     # values are accumulated integer exponents
@@ -860,7 +1012,48 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
 
     if new_num == num and new_den == den:
         return Expr(DIVIDE, (num, den))
+    if new_num is summed:  # stop where the next call would return its input
+        unsigned = new_den.args[0] if new_den.kind == NEGATE else new_den
+        if _settled(summed, unsigned, collected, scanned):
+            out = Expr(DIVIDE, (summed, unsigned))
+            return out if unsigned is new_den else Expr(NEGATE, (out,))
     return _simplify_divide(new_num, new_den)
+
+
+def _settled(total: Expr, den: Expr, collected: list, scanned: set) -> bool:
+    """Whether _divide_core(total, den) returns its input, for the sum total
+    built from collected, a _collect list found to share none of the bases
+    in scanned.
+
+    That call would expand and collect total to an equal sum when no term
+    holds a sum factor (or is a sum, a quotient or a constant before the
+    last): its terms have distinct factor sets, and each is kept or
+    rebuilt equal.  It tallies and rebuilds den as below, and takes no
+    factor out of total where it already found none on those bases.
+    """
+    kind = den.kind
+    if kind in (CONST, NEGATE, DIVIDE) or den == total:
+        return False
+    factors = den.args if kind == MULTIPLY else (den,)
+    if any([f.kind == CONST for f in factors]):
+        return False
+    exps, opaque = _tally_factors(factors)
+    if total in exps or _rebuild_product(_ONE, [_power_of(b, k) for b, k in exps.items()]
+                                         + opaque) != den:
+        return False
+    last = len(total.args) - 1
+    for i, t in enumerate(total.args):
+        if t.kind == NEGATE:
+            t = t.args[0]
+            if t.kind == CONST:
+                return False
+        kind = t.kind
+        if kind == MULTIPLY:
+            if any([f.kind == ADD for f in t.args]):
+                return False
+        elif kind in (ADD, DIVIDE, NEGATE) or (kind == CONST and i < last):
+            return False
+    return exps.keys() <= scanned or _extract_common_factors(_summands(collected), exps) is None
 
 
 def _simplify_power(base: Expr, exponent: Expr) -> Expr:
