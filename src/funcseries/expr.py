@@ -1021,15 +1021,17 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
 
 
 def _settled(total: Expr, den: Expr, collected: list, scanned: set) -> bool:
-    """Whether _divide_core(total, den) returns its input, for the sum total
-    built from collected, a _collect list found to share none of the bases
-    in scanned.
+    """Whether _divide_core(total, den) returns its input, for a sum total
+    built from collected, a _collect list that shares no factor on the
+    bases in scanned.
 
-    That call would expand and collect total to an equal sum when no term
-    holds a sum factor (or is a sum, a quotient or a constant before the
-    last): its terms have distinct factor sets, and each is kept or
-    rebuilt equal.  It tallies and rebuilds den as below, and takes no
-    factor out of total where it already found none on those bases.
+    That call reads den, which has no sign and no constant factor, as its
+    own factors, and returns its input when:
+    - expanding and collecting total gives an equal sum: no term holds a
+      sum factor (or is a sum, a quotient or a constant before the last),
+      the terms' factor sets differ and each is kept or rebuilt equal;
+    - total is not a base of den, and den tallies and rebuilds to itself;
+    - no base of den is a factor of every term, so none is taken out.
     """
     kind = den.kind
     if kind in (CONST, NEGATE, DIVIDE) or den == total:
