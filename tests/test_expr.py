@@ -778,6 +778,80 @@ class TestRecordedDerivatives:
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.QUOTIENT_DIGEST
 
+    #: coefficients of the sums below: exact, float, complex and signed zeros
+    SUM_LEAVES = [const(2), const(-3), const(Fraction(2, 3)), const(Fraction(-1, 4)), const(1),
+                  const(-1), const(0.5), const(-2.5), const(0.0), const(-0.0), const(1.5j),
+                  const(-1.5j)]
+
+    @classmethod
+    def raw_sum(cls, rng):
+        """A raw sum of sums: inner sums share like terms, some cancel to 0,
+        some hold quotients or a single term, and about one term in five is
+        a subtree met before."""
+        pick = lambda seq: seq[rng.integers(len(seq))]
+        bases = [Z, call("sin", Z), call("cos", Z), Expr(ADD, (Z, const(1))),
+                 call("exp", Expr(ADD, (Z, const(Fraction(1, 3)))))]
+        pool: list = []
+
+        def monomial():
+            parts = [pick(cls.SUM_LEAVES)] * (rng.random() < 0.7)
+            for _ in range(int(rng.integers(1, 3))):
+                b, k = pick(bases), pick([1, 1, 2, 3, -1])
+                parts.append(b if k == 1 else Expr(POWER, (b, const(k))))
+            return Expr(MULTIPLY, tuple(parts)) if len(parts) > 1 else parts[0]
+
+        def term(depth):
+            if pool and rng.random() < 0.2:
+                return pick(pool)
+            roll = rng.integers(8)
+            if roll == 0:
+                t = pick(cls.SUM_LEAVES)
+            elif roll == 1:
+                t = Expr(DIVIDE, (monomial(), Expr(POWER, (pick(bases[1:]), const(2)))))
+            elif roll == 2 and depth:
+                t = Expr(NEGATE, (inner(depth - 1),))
+            elif roll == 3 and depth:
+                t = Expr(MULTIPLY, (pick(cls.SUM_LEAVES), inner(depth - 1), pick(bases)))
+            elif roll == 4 and depth:
+                t = inner(depth - 1)
+            else:
+                t = monomial()
+            pool.append(t)
+            return t
+
+        def inner(depth):
+            roll = rng.integers(5)
+            if roll == 0:  # one term
+                return Expr(ADD, (term(depth),))
+            if roll == 1:  # cancels to 0
+                t = monomial()
+                return Expr(ADD, (t, Expr(NEGATE, (t,))))
+            return Expr(ADD, tuple(term(depth) for _ in range(int(rng.integers(2, 5)))))
+
+        return Expr(ADD, tuple(term(2) for _ in range(int(rng.integers(2, 5)))))
+
+    #: sha256 of the outcomes, one line each, for 300 draws with seed
+    #: 20261023: simplify of a raw sum of sums, of its raw derivative, of
+    #: the product-rule derivative of the product of two such sums, and of
+    #: the derivative of the simplified sum with that sum passed as simplified
+    SUM_DIGEST = "3ac6d87d8c828025a8a0ac6b263078e6eb19be26dec43fc8b5d42bf5273ed227"
+
+    def test_sums_of_sums_match_recorded_digest(self):
+        rng = np.random.default_rng(20261023)
+        outcomes = []
+        for _ in range(300):
+            e, other = self.raw_sum(rng), self.raw_sum(rng)
+            outcomes.append(str(_outcome(simplify, e)))
+            outcomes.append(str(_outcome(simplify, differentiate(e))))
+            outcomes.append(str(_outcome(simplify, differentiate(Expr(MULTIPLY, (e, other))))))
+            try:
+                s = simplify(e)
+            except (FuncSeriesError, ArithmeticError):
+                continue
+            outcomes.append(str(_outcome(simplify, differentiate(s), (s,))))
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.SUM_DIGEST
+
 
 def _outcome(fn, *args):
     """repr of the value (signed zeros included), or the exception raised."""
