@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import re
 from collections import Counter
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -204,6 +205,9 @@ def const(value: Number) -> Expr:
 
 
 _SMALL_INTS = [Expr(CONST, value=Fraction(n)) for n in range(-64, 65)]
+#: id of each shared node -> its value as an int (the nodes live as long as
+#: the module, so no other node has their ids)
+_SMALL_EXPONENTS = {id(c): n for n, c in enumerate(_SMALL_INTS, -64)}
 
 
 def var(letter: str) -> Expr:
@@ -399,14 +403,21 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # node, and _node builds that node only for a term that survives.  A
 # quotient's numerator is expanded (_expand), collected (_collect) and
 # has common factors taken out (_extract_common_factors) as terms, so
-# only the terms of its final sum become nodes.  Every coefficient goes
-# through the same products and sums, in the same order, as when each
-# node was built and read back, so results are bit for bit the same.
+# only the terms of its final sum become nodes.  A raw sum is collected
+# once (_raw_terms): a raw sum in it is collected first and its terms go
+# into the outer collect as they are, never flattened again, and a raw
+# product goes in as its term.  Every coefficient goes through the same
+# products and sums, in the same order, as when each node was built and
+# read back, so results are bit for bit the same.
 #
 # A simplify call memoizes in one dict that lives for that call only and
 # is passed down: threads share trees (and ladders), never a memo.
 # _simplify maps the id of each input node it has rewritten to the
 # result, and each node of the trees passed as ``simplified`` to itself.
+# _power_of keeps one node per (base, k) in a table that simplify sets
+# for the call in a context variable (one per thread), so a dict of
+# factors finds a power by identity, and _split_power reads a shared
+# small exponent node by identity too.
 # differentiate shares one derivative among the occurrences of a shared
 # subtree, so that derivative too is simplified once.
 #
@@ -447,8 +458,19 @@ def _int_exponent(e: Expr) -> int | None:
 
 
 def _power_of(base: Expr, k: int) -> Expr:
-    """base^k for an integer k, or base itself when k is 1."""
-    return base if k == 1 else Expr(POWER, (base, const(k)))
+    """base^k for an integer k, or base itself when k is 1; one node per
+    (base, k) in a simplify call."""
+    if k == 1:
+        return base
+    powers = _POWERS.get()
+    p = powers.get((id(base), k))  # the node holds base, so its id stays its own
+    if p is None:
+        p = powers[id(base), k] = Expr(POWER, (base, const(k)))
+    return p
+
+
+#: the powers _power_of built in this simplify call, by (id(base), k)
+_POWERS: ContextVar[dict] = ContextVar("_POWERS")
 
 
 def _negated(e: Expr) -> Expr:
@@ -464,10 +486,12 @@ def _split_power(f: Expr) -> tuple[Expr, int]:
     """(base, k) when f is base^k with k an integer, else (f, 1)."""
     if f.kind == POWER:
         e = f.args[1]
-        if e.value.__class__ is Fraction and e.kind == CONST:  # exact: read inline
-            k = e.value.numerator if e.value.denominator == 1 else None
-        else:
-            k = _int_exponent(e)
+        k = _SMALL_EXPONENTS.get(id(e))  # a shared node: read by identity
+        if k is None:
+            if e.value.__class__ is Fraction and e.kind == CONST:  # exact: read inline
+                k = e.value.numerator if e.value.denominator == 1 else None
+            else:
+                k = _int_exponent(e)
         if k is not None:
             return f.args[0], k
     return f, 1
@@ -490,12 +514,15 @@ def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
         if id(node) not in memo:
             memo[id(node)] = node
             stack.extend(node.args)
+    token = _POWERS.set({})
     try:
         return _simplify(e, memo)
     except (OverflowError, ZeroDivisionError) as exc:  # a constant over or under range
         raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
     except RecursionError:
         raise nested_too_deeply("simplify") from None
+    finally:
+        _POWERS.reset(token)
 
 
 def _simplify(e: Expr, memo: dict) -> Expr:
@@ -504,11 +531,12 @@ def _simplify(e: Expr, memo: dict) -> Expr:
     out = memo.get(id(e))
     if out is not None:
         return out
+    if e.kind == ADD:
+        memo[id(e)] = out = _sum_node(_collect(_raw_terms(e, memo)))
+        return out
     args = tuple([_simplify(a, memo) for a in e.args])
 
-    if e.kind == ADD:
-        out = _simplify_add(args)
-    elif e.kind == NEGATE:
+    if e.kind == NEGATE:
         out = _negated(args[0])
     elif e.kind == MULTIPLY:
         out = _simplify_multiply(args)
@@ -527,6 +555,31 @@ def _simplify(e: Expr, memo: dict) -> Expr:
 def _simplify_add(args: tuple[Expr, ...]) -> Expr:
     """Flatten a sum, fold constants, and combine like terms exactly."""
     return _sum_node(_collect(_flat(args)))
+
+
+def _raw_terms(e: Expr, memo: dict) -> list:
+    """_flat of the simplified arguments of the raw sum e, as terms: a raw
+    sum's collected terms are spliced in without building its node, and a
+    raw product is its product term."""
+    terms: list = []
+    for a in e.args:
+        fresh = id(a) not in memo
+        if fresh and a.kind == ADD:
+            collected = _collect(_raw_terms(a, memo))
+            if collected.__class__ is list and len(collected) > 1:
+                terms.extend([t for _, _, t in collected])  # none is a sum
+                continue
+            a = memo[id(a)] = _sum_node(collected)
+        elif fresh and a.kind == MULTIPLY:
+            t = _product_term(tuple([_simplify(f, memo) for f in a.args]))
+            if t.__class__ is tuple:
+                terms.append(t)
+                continue
+            a = memo[id(a)] = t
+        else:
+            a = _simplify(a, memo)
+        terms.extend(a.args if a.kind == ADD else (a,))
+    return terms
 
 
 def _flat(terms) -> list:
