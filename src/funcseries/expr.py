@@ -413,7 +413,8 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # A simplify call memoizes in one dict that lives for that call only and
 # is passed down: threads share trees (and ladders), never a memo.
 # _simplify maps the id of each input node it has rewritten to the
-# result, and each node of the trees passed as ``simplified`` to itself.
+# result, and each node of the trees passed as ``simplified`` to itself;
+# _raw_terms maps (id,) of a raw sum or product it spliced to its terms.
 # _power_of keeps one node per (base, k) in a table that simplify sets
 # for the call in a context variable (one per thread), so a dict of
 # factors finds a power by identity, and _split_power reads a shared
@@ -560,19 +561,26 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
 def _raw_terms(e: Expr, memo: dict) -> list:
     """_flat of the simplified arguments of the raw sum e, as terms: a raw
     sum's collected terms are spliced in without building its node, and a
-    raw product is its product term."""
+    raw product is its product term.  What is spliced in is kept in memo
+    under (id,), so a shared raw sum or product is collected once."""
     terms: list = []
     for a in e.args:
+        spliced = memo.get((id(a),))
+        if spliced is not None:
+            terms.extend(spliced)
+            continue
         fresh = id(a) not in memo
         if fresh and a.kind == ADD:
             collected = _collect(_raw_terms(a, memo))
             if collected.__class__ is list and len(collected) > 1:
-                terms.extend([t for _, _, t in collected])  # none is a sum
+                memo[id(a),] = spliced = [t for _, _, t in collected]  # none is a sum
+                terms.extend(spliced)
                 continue
             a = memo[id(a)] = _sum_node(collected)
         elif fresh and a.kind == MULTIPLY:
             t = _product_term(tuple([_simplify(f, memo) for f in a.args]))
             if t.__class__ is tuple:
+                memo[id(a),] = (t,)
                 terms.append(t)
                 continue
             a = memo[id(a)] = t

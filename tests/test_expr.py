@@ -441,6 +441,29 @@ class TestSimplifyMemo:
         assert not any(t.is_alive() for t in threads)
         assert got == {i: [w] * 3 for i, w in enumerate(want)}
 
+    def test_shared_raw_sums_are_collected_once(self, monkeypatch):
+        # s + s shares s, and differentiate shares one derivative of it:
+        # d(s + s) is ds + ds.  Each shared raw sum and product is collected
+        # once, so 40 levels take about 50 collects, not about 2^40
+        s = add(Z, multiply(Z, call("sin", Z)))
+        for _ in range(40):
+            s = add(s, s)
+        calls = [0]
+
+        def counting(kernel):
+            def counted(*args):
+                calls[0] += 1
+                assert calls[0] <= 200, "a shared raw sum or product is collected again"
+                return kernel(*args)
+            return counted
+
+        monkeypatch.setattr(expr_module, "_collect", counting(expr_module._collect))
+        monkeypatch.setattr(expr_module, "_product_term", counting(expr_module._product_term))
+        n = 2 ** 40
+        assert format_expr(simplify(s)) == f"{n}*z + {n}*z*sin(z)"
+        calls[0] = 0
+        assert format_expr(simplify(differentiate(s))) == f"{n}*sin(z) + {n}*z*cos(z) + {n}"
+
 
 class TestUnchangedNodesKept:
     """simplify keeps a factor or term that no other one met as the same
