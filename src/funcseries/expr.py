@@ -414,7 +414,8 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # is passed down: threads share trees (and ladders), never a memo.
 # _simplify maps the id of each input node it has rewritten to the
 # result, and each node of the trees passed as ``simplified`` to itself;
-# _raw_terms maps (id,) of a raw sum or product it spliced to its terms.
+# for a raw sum or product that _raw_terms spliced in, it keeps the terms
+# instead, and _simplify builds their node if the node is met elsewhere.
 # _power_of keeps one node per (base, k) in a table that simplify sets
 # for the call in a context variable (one per thread), so a dict of
 # factors finds a power by identity, and _split_power reads a shared
@@ -512,7 +513,7 @@ def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
     stack = list(simplified)
     while stack:
         node = stack.pop()
-        if id(node) not in memo:
+        if node.args and id(node) not in memo:  # a leaf is never looked up
             memo[id(node)] = node
             stack.extend(node.args)
     token = _POWERS.set({})
@@ -531,6 +532,8 @@ def _simplify(e: Expr, memo: dict) -> Expr:
         return _in_range(e) if e.kind == CONST else e
     out = memo.get(id(e))
     if out is not None:
+        if out.__class__ is not Expr:  # what _raw_terms kept: build its node
+            out = memo[id(e)] = _node(out) if out.__class__ is tuple else _sum_node(out)
         return out
     if e.kind == ADD:
         memo[id(e)] = out = _sum_node(_collect(_raw_terms(e, memo)))
@@ -561,32 +564,28 @@ def _simplify_add(args: tuple[Expr, ...]) -> Expr:
 def _raw_terms(e: Expr, memo: dict) -> list:
     """_flat of the simplified arguments of the raw sum e, as terms: a raw
     sum's collected terms are spliced in without building its node, and a
-    raw product is its product term.  What is spliced in is kept in memo
-    under (id,), so a shared raw sum or product is collected once."""
+    raw product is its product term.  memo keeps what was spliced in (the
+    collect's entries, or the product term) under the node's id, so a
+    shared raw sum or product is collected once."""
     terms: list = []
     for a in e.args:
-        spliced = memo.get((id(a),))
-        if spliced is not None:
-            terms.extend(spliced)
-            continue
-        fresh = id(a) not in memo
-        if fresh and a.kind == ADD:
-            collected = _collect(_raw_terms(a, memo))
-            if collected.__class__ is list and len(collected) > 1:
-                memo[id(a),] = spliced = [t for _, _, t in collected]  # none is a sum
-                terms.extend(spliced)
-                continue
-            a = memo[id(a)] = _sum_node(collected)
-        elif fresh and a.kind == MULTIPLY:
-            t = _product_term(tuple([_simplify(f, memo) for f in a.args]))
-            if t.__class__ is tuple:
-                memo[id(a),] = (t,)
-                terms.append(t)
-                continue
-            a = memo[id(a)] = t
+        out = memo.get(id(a))
+        if out is None:
+            if a.kind == ADD:
+                out = _collect(_raw_terms(a, memo))
+                if out.__class__ is not list or len(out) == 1:
+                    out = _sum_node(out)
+                memo[id(a)] = out
+            elif a.kind == MULTIPLY:
+                out = memo[id(a)] = _product_term(tuple([_simplify(f, memo) for f in a.args]))
+            else:
+                out = _simplify(a, memo)
+        if out.__class__ is list:
+            terms.extend([t for _, _, t in out])  # none is a sum
+        elif out.__class__ is tuple:
+            terms.append(out)
         else:
-            a = _simplify(a, memo)
-        terms.extend(a.args if a.kind == ADD else (a,))
+            terms.extend(out.args if out.kind == ADD else (out,))
     return terms
 
 
