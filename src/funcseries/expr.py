@@ -124,7 +124,7 @@ class Expr(Record):
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self is other or (
-                hash(self) == hash(other)
+                (self._hash or hash(self)) == (other._hash or hash(other))
                 and (self.kind, self.args, self.name, self.value)
                 == (other.kind, other.args, other.name, other.value))
         return NotImplemented
@@ -406,9 +406,11 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # only the terms of its final sum become nodes.  A raw sum is collected
 # once (_raw_terms): a raw sum in it is collected first and its terms go
 # into the outer collect as they are, never flattened again, and a raw
-# product goes in as its term.  Every coefficient goes through the same
-# products and sums, in the same order, as when each node was built and
-# read back, so results are bit for bit the same.
+# product goes in as its term; a sum _sum_node built is distributed over
+# those terms too.  Every coefficient goes through the same products and
+# sums, in the same order, as when each node was built and read back
+# (an integral one as an int, see _rational), so results are bit for bit
+# the same.
 #
 # A simplify call memoizes in one dict that lives for that call only and
 # is passed down: threads share trees (and ladders), never a memo.
@@ -416,10 +418,10 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # result, and each node of the trees passed as ``simplified`` to itself;
 # for a raw sum or product that _raw_terms spliced in, it keeps the terms
 # instead, and _simplify builds their node if the node is met elsewhere.
-# _power_of keeps one node per (base, k) in a table that simplify sets
-# for the call in a context variable (one per thread), so a dict of
-# factors finds a power by identity, and _split_power reads a shared
-# small exponent node by identity too.
+# _power_of keeps one node per (base, k), and _sum_node each sum's terms,
+# in a table that simplify sets for the call in a context variable (one
+# per thread), so a dict of factors finds a power by identity, and
+# _split_power reads a shared small exponent node by identity too.
 # differentiate shares one derivative among the occurrences of a shared
 # subtree, so that derivative too is simplified once.
 #
@@ -429,9 +431,35 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # power.  Every other folded value reaches _term's check.
 # --------------------------------------------------------------------------
 
-#: the exact 1 a product's coefficient starts from: a Fraction times it
-#: is that Fraction, so the (slow) Fraction product is skipped
-_ONE = Fraction(1)
+#: the classes of an exact coefficient
+_EXACT = (int, Fraction)
+
+
+def _rational(c: Number) -> Number:
+    """c, an int as the Fraction it stands for.  An exact coefficient is a
+    (cheap) int while it is integral and a Fraction once a denominator
+    appears; a node holds the Fraction const makes of it.  An int meets a
+    float or complex as that Fraction: the step rounds, and fails past
+    double range with the same message, as when every one was a Fraction."""
+    return Fraction(c) if c.__class__ is int else c
+
+
+def _times(c: Number, v: Number) -> Number:
+    """c * v for a coefficient c and a coefficient or constant's value v."""
+    if v.__class__ is Fraction and v.denominator == 1:
+        v = v.numerator
+    if (c.__class__ in _EXACT) is not (v.__class__ in _EXACT):
+        return _rational(c) * _rational(v)
+    return v if c.__class__ is int and c == 1 else c * v
+
+
+def _plus(c: Number, v: Number) -> Number:
+    """c + v, as _times reads them."""
+    if v.__class__ is Fraction and v.denominator == 1:
+        v = v.numerator
+    if (c.__class__ in _EXACT) is not (v.__class__ in _EXACT):
+        return _rational(c) + _rational(v)
+    return c + v
 
 
 def _in_range(c: Expr) -> Expr:
@@ -464,15 +492,17 @@ def _power_of(base: Expr, k: int) -> Expr:
     (base, k) in a simplify call."""
     if k == 1:
         return base
-    powers = _POWERS.get()
+    powers = _BUILT.get()
     p = powers.get((id(base), k))  # the node holds base, so its id stays its own
     if p is None:
         p = powers[id(base), k] = Expr(POWER, (base, const(k)))
     return p
 
 
-#: the powers _power_of built in this simplify call, by (id(base), k)
-_POWERS: ContextVar[dict] = ContextVar("_POWERS")
+#: what this simplify call built: the powers _power_of built, by
+#: (id(base), k), and each sum _sum_node built, by its id, as (node, the
+#: _collect entries it was built from); the nodes keep their ids their own
+_BUILT: ContextVar[dict] = ContextVar("_BUILT")
 
 
 def _negated(e: Expr) -> Expr:
@@ -516,7 +546,7 @@ def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
         if node.args and id(node) not in memo:  # a leaf is never looked up
             memo[id(node)] = node
             stack.extend(node.args)
-    token = _POWERS.set({})
+    token = _BUILT.set({})
     try:
         return _simplify(e, memo)
     except (OverflowError, ZeroDivisionError) as exc:  # a constant over or under range
@@ -524,7 +554,7 @@ def simplify(e: Expr, simplified: tuple[Expr, ...] = ()) -> Expr:
     except RecursionError:
         raise nested_too_deeply("simplify") from None
     finally:
-        _POWERS.reset(token)
+        _BUILT.reset(token)
 
 
 def _simplify(e: Expr, memo: dict) -> Expr:
@@ -554,11 +584,6 @@ def _simplify(e: Expr, memo: dict) -> Expr:
         raise AssertionError(f"unreachable node kind {e.kind}")
     memo[id(e)] = out
     return out
-
-
-def _simplify_add(args: tuple[Expr, ...]) -> Expr:
-    """Flatten a sum, fold constants, and combine like terms exactly."""
-    return _sum_node(_collect(_flat(args)))
 
 
 def _raw_terms(e: Expr, memo: dict) -> list:
@@ -606,29 +631,29 @@ def _collect(terms: list) -> list | Expr:
     # factor multiset -> [summed coefficient, factors as first seen, term to
     # keep, whether those factors are a product term's (stable, see _merge)]
     like: dict[frozenset, list] = {}
-    constant: Number = Fraction(0)
+    constant: Number = 0
     for t in terms:
         if t.__class__ is Expr:
             kind = t.kind
             if kind == CONST:
-                constant = constant + t.value
+                constant = _plus(constant, t.value)
                 continue
             if kind == DIVIDE:  # a quotient stays whole
-                coeff, factors = _ONE, [t]
+                coeff, factors = 1, [t]
             elif kind == NEGATE and t.args[0].kind == DIVIDE:
-                coeff, factors = -_ONE, [t.args[0]]
+                coeff, factors = -1, [t.args[0]]
             else:
                 factors, _, coeff = _split_quotient(t)
-            keep = t if kind != NEGATE and coeff.__class__ is Fraction else None
+            keep = t if kind != NEGATE and coeff.__class__ in _EXACT else None
         else:
             coeff, factors, sign, _ = t
-            keep = t if sign != -1 and coeff.__class__ is Fraction else None
+            keep = t if sign != -1 and coeff.__class__ in _EXACT else None
         key = frozenset(factors)
         if len(key) < len(factors):  # a factor repeats: key the multiset
             key = frozenset(Counter(factors).items())
         entry = like.get(key)
         if entry is not None:
-            entry[0] += coeff
+            entry[0] = _plus(entry[0], coeff)
             entry[2] = None
         else:
             like[key] = [coeff, factors, keep, t.__class__ is tuple]
@@ -642,7 +667,7 @@ def _collect(terms: list) -> list | Expr:
             if coeff == 1 and len(factors) == 1:
                 t = factors[0]
             elif stable:  # which _flatten and _merge keep as they are
-                t = _term(coeff if coeff.__class__ is Fraction else _ONE * const(coeff).value,
+                t = _term(coeff if coeff.__class__ in _EXACT else 1 * const(coeff).value,
                           factors)
             else:
                 t = _product_term((const(coeff), *factors))
@@ -667,7 +692,9 @@ def _sum_node(collected: list | Expr) -> Expr:
         return collected
     if len(collected) == 1:
         return _node(collected[0][2])
-    return Expr(ADD, tuple([_node(t) for _, _, t in collected]))
+    out = Expr(ADD, tuple([_node(t) for _, _, t in collected]))
+    _BUILT.get()[id(out)] = out, collected
+    return out
 
 
 def _tally_factors(parts) -> tuple[dict[Expr, int], list[Expr]]:
@@ -709,21 +736,27 @@ def _combine_quotients(terms: list[Expr]) -> Expr:
 
     den_factors = [_power_of(b, k) for b, k in lcd_exps.items()]
     den_factors.extend(lcd_opaque.elements())
-    num_node = _simplify_add(tuple(new_terms))
+    num_node = _sum_node(_collect(_flat(new_terms)))
     den_node = _simplify_multiply(tuple(den_factors)) if den_factors else const(1)
     return _simplify_divide(num_node, den_node)
 
 
 def _flatten(args) -> tuple:
-    """(coefficient, factors, denominators) of the product of simplified
-    args: nested products flatten, a negation flips the sign, constants
-    multiply in and a quotient's denominator is set aside."""
-    constant: Number = _ONE
+    """(coefficient, factors, denominators) of the product of args, which
+    are simplified nodes or terms (read as their nodes): nested products
+    flatten, a negation flips the sign, constants multiply in and a
+    quotient's denominator is set aside."""
+    constant: Number = 1
     factors: list[Expr] = []
     denominators: list[Expr] = []
     stack = list(reversed(args))
     while stack:
         f = stack.pop()
+        if f.__class__ is tuple:  # a term: its node's sign, coefficient and factors
+            _, parts, sign, v = f
+            constant = -constant if sign == -1 else _times(constant, v) if not sign else constant
+            factors.extend(parts)  # stable: none of them is taken apart
+            continue
         kind = f.kind
         if kind == MULTIPLY:
             stack.extend(reversed(f.args))
@@ -731,8 +764,7 @@ def _flatten(args) -> tuple:
             constant = -constant
             stack.append(f.args[0])
         elif kind == CONST:
-            v = f.value
-            constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
+            constant = _times(constant, f.value)
         elif kind == DIVIDE:
             stack.append(f.args[0])
             denominators.append(f.args[1])
@@ -790,16 +822,20 @@ def _merge(constant: Number, factors: list[Expr]) -> tuple[Number, list[Expr], b
         else:
             base, k = f, 1
             stable = stable and f.kind not in _UNSTABLE
-        entry = open_entries.get(base)
-        if entry is not None:
-            entry[1] += k
-            entry[2] = None
-        elif base is f and f.kind == POWER:
-            merged.append([f, None, f])
-        else:
+        if base is f and f.kind == POWER:  # kept whole
+            entry = open_entries.get(base)
+            if entry is None:
+                merged.append([f, None, f])
+                continue
+        else:  # one hash of base for a new entry
             keep = f if base is f or f.args[1].value.__class__ is Fraction else None
-            open_entries[base] = entry = [base, k, keep]
-            merged.append(entry)
+            new = [base, k, keep]
+            entry = open_entries.setdefault(base, new)
+            if entry is new:
+                merged.append(entry)
+                continue
+        entry[1] += k
+        entry[2] = None
     rest: list[Expr] = []
     for base, k, f in merged:
         if k == 0:
@@ -808,7 +844,7 @@ def _merge(constant: Number, factors: list[Expr]) -> tuple[Number, list[Expr], b
             f = _power_of(base, k)
             stable = stable and (f is not base or base.kind not in _UNSTABLE)
         if f.kind == CONST:
-            constant = constant * f.value
+            constant = _times(constant, f.value)
         else:
             rest.append(f)
     return constant, rest, stable
@@ -816,9 +852,6 @@ def _merge(constant: Number, factors: list[Expr]) -> tuple[Number, list[Expr], b
 
 #: kinds of a factor that _flatten or _split_power takes apart
 _UNSTABLE = (MULTIPLY, NEGATE, DIVIDE, POWER)
-
-#: the value of const(-1), which a negated product starts from
-_MINUS_ONE = const(-1).value
 
 
 def _term(constant: Number, factors: list[Expr], stable: bool = True):
@@ -830,7 +863,7 @@ def _term(constant: Number, factors: list[Expr], stable: bool = True):
     after a coefficient node (sign 0); a coefficient of 1 or -1 gets none
     (sign 1 or -1), and -1 negates the product.
     """
-    exact = constant.__class__ is Fraction  # tested through numerator and denominator
+    exact = constant.__class__ in _EXACT  # tested through numerator and denominator
     n = constant.numerator if exact else constant
     if n == 0:
         return const(0)
@@ -839,12 +872,12 @@ def _term(constant: Number, factors: list[Expr], stable: bool = True):
     if (n == 1 or n == -1) and (not exact or constant.denominator == 1):
         if n == 1 and len(factors) == 1:
             return factors[0]
-        t = (_ONE, factors, 1, None) if n == 1 else (_MINUS_ONE, factors, -1, None)
+        t = (1, factors, 1, None) if n == 1 else (-1, factors, -1, None)
     elif exact:  # const(constant) holds an equal Fraction
         t = constant, factors, 0, constant
     else:
         v = _in_range(const(constant)).value
-        t = 1 * (_ONE * v), factors, 0, v
+        t = 1 * (1 * v), factors, 0, v
     return t if stable else _node(t)
 
 
@@ -885,7 +918,7 @@ def _expand(t, out: list) -> None:
             else:
                 out.append(t)
             return
-        inner = factors[0] if len(factors) == 1 else (_ONE, factors, 1, None)
+        inner = factors[0] if len(factors) == 1 else (1, factors, 1, None)
     negated: list = []
     _expand(inner, negated)
     out.extend([_negated_term(u) for u in negated])
@@ -896,18 +929,21 @@ def _negated_term(t):
     if t.__class__ is Expr:
         return _product_term((const(-1), t))
     _, factors, sign, v = t  # stable: _flatten and _merge keep them
-    return _term(_MINUS_ONE * v if not sign else _MINUS_ONE if sign == 1 else -_MINUS_ONE,
-                 factors)
+    return _term(-1 * v if not sign else -sign, factors)
 
 
 def _distribute(factors, out: list) -> None:
     """Append the terms of the product of the factors, some of them sums:
-    each product of one term per sum, expanded in turn."""
+    each product of one term per sum, expanded in turn.  A sum _sum_node
+    built gives the terms it was built from, which _flatten reads without
+    taking their nodes apart."""
     head = [f for f in factors if f.kind != ADD]
     combos: list[tuple] = [()]
     for f in factors:
         if f.kind == ADD:
-            combos = [c + (t,) for c in combos for t in f.args]
+            built = _BUILT.get().get(id(f))
+            terms = f.args if built is None else [t for _, _, t in built[1]]
+            combos = [c + (t,) for c in combos for t in terms]
     for picks in combos:
         _expand(_product_term((*head, *picks)), out)
 
@@ -926,7 +962,7 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
     """Decompose into (numerator factors, denominator factors, constant)."""
     nums: list[Expr] = []
     dens: list[Expr] = []
-    constant: Number = _ONE
+    constant: Number = 1
     sign = 1
     if e.kind == NEGATE:
         sign = -1
@@ -941,15 +977,15 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
         for f in (part.args if part.kind == MULTIPLY else (part,)):
             if f.kind == CONST:
                 if sink is nums:
-                    v = f.value
-                    constant = v if constant is _ONE and v.__class__ is Fraction else constant * v
+                    constant = _times(constant, f.value)
                 elif f.value != 0:
-                    constant = constant / f.value
+                    constant = (constant if f.value.__class__ is Fraction else _rational(constant)
+                                ) / f.value
                 else:
                     sink.append(f)
             else:
                 sink.append(f)
-    if sign == 1 and constant.__class__ is Fraction:
+    if sign == 1 and constant.__class__ in _EXACT:
         return nums, dens, constant
     return nums, dens, sign * constant
 
@@ -979,7 +1015,7 @@ def _extract_common_factors(terms, wanted: set[Expr]) -> tuple | None:
         # _tally_factors of the term, kept to the bases still in common
         keys, tally = (wanted if common is None else common), {}
         for f in term[0]:
-            base, exp = _split_power(f)
+            base, exp = _split_power(f) if f.kind == POWER else (f, 1)
             if exp >= 1 and base in keys and not (base is f and f.kind == POWER):
                 tally[base] = tally.get(base, 0) + exp
         common = tally if common is None else {b: min(k, common[b]) for b, k in tally.items()}
@@ -994,7 +1030,7 @@ def _extract_common_factors(terms, wanted: set[Expr]) -> tuple | None:
         remaining = dict(common)
         kept: list[Expr] = []
         for f in parts:
-            base, exp = _split_power(f)
+            base, exp = _split_power(f) if f.kind == POWER else (f, 1)
             take = remaining.get(base, 0)
             if take:
                 drop = min(take, exp)
@@ -1032,7 +1068,7 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
     _expand(_product_term((const(n_const), *num_parts)), terms)
     total = _collect(_flat(terms)) if len(terms) > 1 else _node(terms[0])
     if total.__class__ is list and len(total) > 1:
-        num_parts, constant = [total], _ONE
+        num_parts, constant = [total], 1
     else:
         num_parts, stray_dens, constant = _split_quotient(_sum_node(total))
         den_parts = den_parts + stray_dens
@@ -1100,7 +1136,7 @@ def _settled(total: Expr, den: Expr, collected: list, scanned: set) -> bool:
     if any([f.kind == CONST for f in factors]):
         return False
     exps, opaque = _tally_factors(factors)
-    if total in exps or _rebuild_product(_ONE, [_power_of(b, k) for b, k in exps.items()]
+    if total in exps or _rebuild_product(1, [_power_of(b, k) for b, k in exps.items()]
                                          + opaque) != den:
         return False
     last = len(total.args) - 1
@@ -1205,51 +1241,67 @@ def evaluate(e: Expr, at: complex) -> complex:
     infinite: exp(z - 1e308*10) is 0j at z = 0.  A non-finite point
     raises ValueError.
     """
+    return evaluator(at)(e)
+
+
+def evaluator(at: complex) -> Callable[[Expr], complex]:
+    """``lambda e: evaluate(e, at)`` bit for bit, exceptions too, for trees
+    that share nodes (a ladder's entries share most of theirs): a node
+    shared by identity is evaluated once over all the calls.  The trees
+    are kept alive with the function, so their ids stay their own."""
     z = complex(at)
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {at!r}")
-    try:
-        out = _eval(e, z)
-    except RecursionError:
-        raise nested_too_deeply("evaluate") from None
-    if not cmath.isfinite(out):
-        raise SingularEvaluation(f"non-finite value at z={z}")
-    return out
+    memo: dict[int, complex] = {}
+    kept: list[Expr] = []
+
+    def value(e: Expr) -> complex:
+        kept.append(e)
+        try:
+            out = _eval(e, z, memo)
+        except RecursionError:
+            raise nested_too_deeply("evaluate") from None
+        if not cmath.isfinite(out):
+            raise SingularEvaluation(f"non-finite value at z={z}")
+        return out
+    return value
 
 
-def _eval(e: Expr, z: complex) -> complex:
-    if e.kind == CONST:
+def _eval(e: Expr, z: complex, memo: dict[int, complex]) -> complex:
+    kind = e.kind
+    if kind == CONST:
         try:
             return complex(e.value)
         except OverflowError as exc:
             raise SingularEvaluation(f"constant out of floating-point range: {exc}") from exc
-    if e.kind == VAR:
+    if kind == VAR:
         return z
-    if e.kind == ADD:
-        return sum((_eval(a, z) for a in e.args), complex(0))
-    if e.kind == NEGATE:
-        return -_eval(e.args[0], z)
-    if e.kind == MULTIPLY:
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    if kind == ADD:
+        out = sum((_eval(a, z, memo) for a in e.args), complex(0))
+    elif kind == NEGATE:
+        out = -_eval(e.args[0], z, memo)
+    elif kind == MULTIPLY:
         out = complex(1)
         for a in e.args:
-            out *= _eval(a, z)
-        return out
-    if e.kind == DIVIDE:
-        num, den = _eval(e.args[0], z), _eval(e.args[1], z)
+            out *= _eval(a, z, memo)
+    elif kind == DIVIDE:
+        num, den = _eval(e.args[0], z, memo), _eval(e.args[1], z, memo)
         if abs(den) < DIVISION_FLOOR:
             raise SingularEvaluation(f"division by ~0 at z={z}")
-        return num / den
-    if e.kind == POWER:
-        base = _eval(e.args[0], z)
+        out = num / den
+    elif kind == POWER:
+        base = _eval(e.args[0], z, memo)
         n = _int_exponent(e.args[1])
         try:
-            if n is not None:
-                return base ** n
-            return _on_principal_branch(base) ** _eval(e.args[1], z)
+            out = base ** n if n is not None else (
+                _on_principal_branch(base) ** _eval(e.args[1], z, memo))
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise SingularEvaluation(f"power undefined at z={z}: {exc}") from exc
-    if e.kind == CALL:
-        u = _eval(e.args[0], z)
+    elif kind == CALL:
+        u = _eval(e.args[0], z, memo)
         if e.name in PRINCIPAL_BRANCH:
             u = _on_principal_branch(u)
         try:
@@ -1258,8 +1310,10 @@ def _eval(e: Expr, z: complex) -> complex:
             raise SingularEvaluation(f"{e.name} undefined at z={z}: {exc}") from exc
         if not cmath.isfinite(out):
             raise SingularEvaluation(f"{e.name} non-finite at z={z}")
-        return out
-    raise AssertionError(f"unreachable node kind {e.kind}")
+    else:
+        raise AssertionError(f"unreachable node kind {kind}")
+    memo[id(e)] = out
+    return out
 
 
 #: points evaluate_many runs each tape step over at once

@@ -50,6 +50,7 @@ from .expr import (
     Expr,
     Record,
     evaluate,
+    evaluator,
     format_expr,
     substitute,
 )
@@ -155,10 +156,11 @@ def expand(req: ExpansionRequest) -> SeriesExpansion:
             f"(tolerance {req.derivative_zero_tol:g})")
 
     coefficients = []
+    value_at = evaluator(req.z0)  # the entries share most nodes: each is evaluated once
     for n in range(req.order + 1):
         entry = chain.entry(n)
         try:
-            value = evaluate(entry, req.z0)
+            value = value_at(entry)
         except SingularEvaluation as exc:
             raise SingularAtExpansionPoint(
                 f"derivative ladder entry {n} at z0={req.z0}: {exc}") from exc

@@ -279,6 +279,22 @@ class TestSimplify:
     def test_additive_identity(self):
         assert simplify(Z + 0) == Z
 
+    @pytest.mark.parametrize("text, want", [
+        ("(2^60+1)*z - 2^60*z", "z"),  # past 2**53: a float would lose the 1
+        ("2^70*z*2^(-70)", "z"),
+        ("(2^60+1)*z*1.0 - 2^60*z", "0"),  # the float coefficient rounds the 1 away
+        ("3*(1.5*z)", "4.5*z"),
+    ])
+    def test_large_integer_coefficients_stay_exact(self, text, want):
+        assert repr(simplify(parse(text))) == repr(parse(want))
+
+    def test_an_integer_coefficient_meets_a_float_as_its_fraction(self):
+        # 2**2000 * 1.5 overflows converting 2**2000, with the message a
+        # Fraction's conversion gives (an int's would be another)
+        with pytest.raises(SingularEvaluation, match=re.escape(
+                "constant out of floating-point range: integer division result too large")):
+            simplify(parse("2^2000*z*1.5"))
+
     def test_multiplicative_identity(self):
         assert simplify(const(1) * (Z * 1)) == Z
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,39 @@ class TestExpand:
             ExpansionRequest(parse("z"), parse("z"), 0.0, -1)
         with pytest.raises(ValueError):
             ExpansionRequest(parse("z"), parse("z"), 0.0, 2, termination_tol=0.0)
+
+
+class TestLadderEvaluation:
+    """expand evaluates a ladder's entries through one memo, each shared
+    node once; a coefficient is still evaluate(entry n, z0) / n! bit for bit."""
+
+    #: the benchmark's ladder-build families, over drawn {a} and {b} in [2, 9]
+    FAMILIES = [("1/({a}+z)", "sin(z)", 0.0), ("1/(1-{a}^(1-z))", "{a}^(-z)", 0.5),
+                ("{a}^(-z)", "{b}^(-z)", 0.0), ("1/({a}+z)", "exp(z)", 0.3),
+                ("exp({a}*z)", "exp(z)", 0.0), ("exp({a}*z)", "sin(z)", -0.2),
+                ("cos({a}*z)", "sinh(z)", 0.1)]
+
+    def pairs(self):
+        rng = np.random.default_rng(20261024)
+        pairs = [(f, s, z0) for _, f, s, z0 in CATALOG]
+        for f, s, z0 in self.FAMILIES:
+            for _ in range(2):
+                d = [int(rng.integers(1, 31)) for _ in "ab"]
+                p = {k: f"({int(rng.integers(2 * e, 9 * e + 1))}/{e})" for k, e in zip("ab", d)}
+                pairs.append((f.format(**p), s.format(**p), z0))
+        return pairs
+
+    def test_coefficients_are_entry_values_over_factorials(self):
+        for f, s, z0 in self.pairs():
+            exp = expand_pair(f, s, z0, 14)
+            want = tuple(evaluate(exp.chain.entry(n), z0) / math.factorial(n) for n in range(15))
+            assert repr(exp.coefficients) == repr(want), (f, s, z0)
+
+    def test_an_entry_that_fails_at_z0_is_named(self):
+        # entries 0 and 1 (z^(3/2), 3/2*z^(1/2)) are 0 at z0 = 0; entry 2 divides by 0
+        with pytest.raises(SingularAtExpansionPoint, match=re.escape(
+                "derivative ladder entry 2 at z0=0j: power undefined at z=0j: ")):
+            expand_pair("z^(3/2)", "z", 0.0, 5)
 
 
 class TestRegressionCorpus:
