@@ -38,6 +38,7 @@ from funcseries.expr import (
     divide,
     evaluate,
     evaluate_many,
+    evaluator,
     format_expr,
     multiply,
     negate,
@@ -195,6 +196,14 @@ class TestEvaluate:
     def test_constant_beyond_double_range_is_singular(self):
         with pytest.raises(SingularEvaluation, match="floating-point range"):
             evaluate(parse("z*1" + "0" * 400), 0.5)
+
+    def test_an_evaluator_keeps_the_trees_it_was_given_apart(self):
+        # its memo is keyed by node ids: a tree freed after one call must
+        # not hand its id, and so its value, to the next
+        value_at = evaluator(0.5 + 0.25j)
+        for k in range(1, 60):
+            text = f"{k}*z + sin(z)^{k % 5}"
+            assert value_at(parse(text)) == evaluate(parse(text), 0.5 + 0.25j), text
 
 
 class TestDeepTrees:
