@@ -35,7 +35,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .errors import (
     MultipleVariables,
@@ -407,10 +407,13 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # once (_raw_terms): a raw sum in it is collected first and its terms go
 # into the outer collect as they are, never flattened again, and a raw
 # product goes in as its term; a sum _sum_node built is distributed over
-# those terms too.  Every coefficient goes through the same products and
-# sums, in the same order, as when each node was built and read back
-# (an integral one as an int, see _rational), so results are bit for bit
-# the same.
+# those terms too.  A _divide_core pass hands a sum it has not settled to
+# the next pass as its _collect list; a sum it settles is recorded with
+# the bases no term shares, so dividing it once more (a ladder step's s')
+# scans only the new bases and keeps its node.  Every coefficient goes
+# through the same products and sums, in the same order, as when each
+# node was built and read back (an integral one as an int, see
+# _rational), so results are bit for bit the same.
 #
 # A simplify call memoizes in one dict that lives for that call only and
 # is passed down: threads share trees (and ladders), never a memo.
@@ -418,10 +421,11 @@ def _differentiate(e: Expr, letter: str, memo: dict) -> Expr:
 # result, and each node of the trees passed as ``simplified`` to itself;
 # for a raw sum or product that _raw_terms spliced in, it keeps the terms
 # instead, and _simplify builds their node if the node is met elsewhere.
-# _power_of keeps one node per (base, k), and _sum_node each sum's terms,
-# in a table that simplify sets for the call in a context variable (one
-# per thread), so a dict of factors finds a power by identity, and
-# _split_power reads a shared small exponent node by identity too.
+# _power_of keeps one node per (base, k), and _sum_node one node per list
+# with its terms, in a table that simplify sets for the call in a context
+# variable (one per thread), so a dict of factors finds a power by
+# identity, and _split_power reads a shared small exponent node by
+# identity too.
 # differentiate shares one derivative among the occurrences of a shared
 # subtree, so that derivative too is simplified once.
 #
@@ -501,7 +505,9 @@ def _power_of(base: Expr, k: int) -> Expr:
 
 #: what this simplify call built: the powers _power_of built, by
 #: (id(base), k), and each sum _sum_node built, by its id, as (node, the
-#: _collect entries it was built from); the nodes keep their ids their own
+#: _collect list it was built from, the bases no term shares once
+#: _divide_core settled it or None), and by that list's id as the node;
+#: the values keep the ids their own
 _BUILT: ContextVar[dict] = ContextVar("_BUILT")
 
 
@@ -687,13 +693,16 @@ def _collect(terms: list) -> list | Expr:
 
 
 def _sum_node(collected: list | Expr) -> Expr:
-    """The node of what _collect returns."""
+    """The node of what _collect returns, one per list in a simplify call."""
     if collected.__class__ is Expr:
         return collected
     if len(collected) == 1:
         return _node(collected[0][2])
-    out = Expr(ADD, tuple([_node(t) for _, _, t in collected]))
-    _BUILT.get()[id(out)] = out, collected
+    built = _BUILT.get()
+    out = built.get(id(collected))
+    if out is None:
+        out = built[id(collected)] = Expr(ADD, tuple([_node(t) for _, _, t in collected]))
+        built[id(out)] = out, collected, None
     return out
 
 
@@ -914,7 +923,7 @@ def _expand(t, out: list) -> None:
         _, factors, sign, v = t
         if sign != -1:
             if any([f.kind == ADD for f in factors]):
-                _distribute(factors if sign else (const(v), *factors), out)
+                _distribute(factors, out, () if sign else ((v, (), 0, v),))
             else:
                 out.append(t)
             return
@@ -932,11 +941,11 @@ def _negated_term(t):
     return _term(-1 * v if not sign else -sign, factors)
 
 
-def _distribute(factors, out: list) -> None:
-    """Append the terms of the product of the factors, some of them sums:
-    each product of one term per sum, expanded in turn.  A sum _sum_node
-    built gives the terms it was built from, which _flatten reads without
-    taking their nodes apart."""
+def _distribute(factors, out: list, lead: tuple = ()) -> None:
+    """Append the terms of the product of lead (terms) and the factors, some
+    of them sums: each product of one term per sum, expanded in turn.  A
+    sum _sum_node built gives the terms it was built from, which _flatten
+    reads without taking their nodes apart."""
     head = [f for f in factors if f.kind != ADD]
     combos: list[tuple] = [()]
     for f in factors:
@@ -945,7 +954,7 @@ def _distribute(factors, out: list) -> None:
             terms = f.args if built is None else [t for _, _, t in built[1]]
             combos = [c + (t,) for c in combos for t in terms]
     for picks in combos:
-        _expand(_product_term((*head, *picks)), out)
+        _expand(_product_term((*lead, *head, *picks)), out)
 
 
 def _simplify_divide(num: Expr, den: Expr) -> Expr:
@@ -990,112 +999,168 @@ def _split_quotient(e: Expr) -> tuple[list[Expr], list[Expr], Number]:
     return nums, dens, sign * constant
 
 
-def _summands(total) -> Iterator[tuple]:
-    """(factors, coefficient, term) of each term of a sum node or of a
-    _collect list, factors and coefficient as _split_quotient reads them."""
-    for factors, coeff, t in (total if total.__class__ is list
-                              else [(None, None, t) for t in total.args]):
+def _common_bases(total, wanted: set[Expr]) -> tuple | None:
+    """(common, terms, read) for the bases in wanted that every term of
+    total (a sum node or a _collect list) holds, or None if there is none.
+    common maps the id of each, as wanted holds it, to [the base as the
+    last term holds it, its least exponent], in that term's order; terms
+    are (factors, coefficient, term) as _split_quotient reads them; read
+    maps the id of each factor to (base, exponent, that base's id in wanted
+    or None, whether _tally_factors counts it).  The terms are read from
+    the last, which most often is the first to share nothing."""
+    canon = {b: id(b) for b in wanted}
+    read: dict[int, tuple] = {}
+    terms = []
+    common: dict | None = None
+    for factors, coeff, t in reversed(total if total.__class__ is list
+                                      else [(None, None, t) for t in total.args]):
         if factors is None:
             factors, _, coeff = _split_quotient(t)
-        yield factors, coeff, t
-
-
-def _extract_common_factors(terms, wanted: set[Expr]) -> tuple | None:
-    """Pull factors shared by every term of a sum, restricted to wanted bases.
-
-    terms yields the sum's terms as _summands does.  Returns (factor nodes,
-    reduced sum as _collect returns it), whose product equals the sum
-    exactly, or None when no factor is shared.  Used so a sum-numerator
-    can cancel against the denominator of the enclosing quotient.
-    """
-    term_info = []
-    common: dict[Expr, int] | None = None
-    for term in terms:
-        term_info.append(term)
-        # _tally_factors of the term, kept to the bases still in common
-        keys, tally = (wanted if common is None else common), {}
-        for f in term[0]:
-            base, exp = _split_power(f) if f.kind == POWER else (f, 1)
-            if exp >= 1 and base in keys and not (base is f and f.kind == POWER):
-                tally[base] = tally.get(base, 0) + exp
-        common = tally if common is None else {b: min(k, common[b]) for b, k in tally.items()}
+        terms.append((factors, coeff, t))
+        tally: dict[int, list] = {}
+        for f in factors:
+            r = read.get(id(f))
+            if r is None:
+                base, exp = _split_power(f) if f.kind == POWER else (f, 1)
+                r = read[id(f)] = (base, exp, canon.get(base),
+                                   exp >= 1 and not (base is f and f.kind == POWER))
+            if r[3] and r[2] is not None and (common is None or r[2] in common):
+                tally.setdefault(r[2], [r[0], 0])[1] += r[1]
+        common = tally if common is None else {
+            c: [b, min(k, tally[c][1])] for c, (b, k) in common.items() if c in tally}
         if not common:
             return None
+    return common, terms[::-1], read
 
+
+def _extract_common_factors(total, wanted: set[Expr]) -> tuple | None:
+    """Pull factors shared by every term of a sum, restricted to wanted bases.
+
+    total is a sum node or a _collect list.  Returns (factor nodes, reduced
+    sum as _collect returns it), whose product equals the sum exactly, or
+    None when no factor is shared.  Used so a sum-numerator can cancel
+    against the denominator of the enclosing quotient.  No two reduced
+    terms can meet, and they are not collected again, when total is a
+    _collect list whose terms keep the factors they were keyed by (product
+    terms: _merge gives back a simplified node's factors; and nodes kept
+    as read), each with each shared base (read as itself) in one factor:
+    the reduced factors then give back the original ones.
+    """
+    found = _common_bases(total, wanted)
+    if found is None:
+        return None
+    common, terms, read = found
+    direct = (total.__class__ is list and all([e[0] is not None for e in total])
+              and all([_split_power(b)[0] is b for b, _ in common.values()]))
     reduced_terms = []
-    for parts, constant, t in term_info:
+    for parts, constant, t in terms:
         # a product term's factors stay stable with lower powers of their
         # bases, unless a base left alone is a power
         stable = t.__class__ is tuple
-        remaining = dict(common)
+        remaining = {c: k for c, (_, k) in common.items()}
         kept: list[Expr] = []
+        held = 0  # factors on a shared base
         for f in parts:
-            base, exp = _split_power(f) if f.kind == POWER else (f, 1)
-            take = remaining.get(base, 0)
+            base, exp, c, _ = read[id(f)]
+            take = remaining.get(c, 0)
+            held += c in remaining
             if take:
                 drop = min(take, exp)
-                remaining[base] = take - drop
+                remaining[c] = take - drop
                 if exp > drop:
                     kept.append(_power_of(base, exp - drop))
                     stable = stable and (exp - drop > 1 or base.kind not in _UNSTABLE)
             else:
                 kept.append(f)
-        reduced_terms.append(_term(constant, kept) if stable else _term(*_merge(constant, kept)))
-    factors = [_power_of(b, k) for b, k in common.items()]
-    return factors, _collect(_flat(reduced_terms))
+        r = _term(constant, kept) if stable else _term(*_merge(constant, kept))
+        # as _collect keeps it: a product term with an exact coefficient (a
+        # negated one rebuilt equal), a factor, or an exact constant, put last
+        direct = direct and held == len(common) and (
+            r[0].__class__ in _EXACT if r.__class__ is tuple else r.kind in (POWER, CALL, VAR)
+            or (r.kind == CONST and r.value.__class__ is Fraction))
+        reduced_terms.append(r)
+    factors = [_power_of(b, k) for b, k in common.values()]
+    if not direct:
+        return factors, _collect(_flat(reduced_terms))
+    last = [(None, None, r) for r in reduced_terms if r.__class__ is Expr and r.kind == CONST]
+    return factors, [(r[1], r[0], r) if r.__class__ is tuple else ([r], 1, r)
+                     for r in reduced_terms if r.__class__ is tuple or r.kind != CONST] + last
 
 
-def _divide_core(num: Expr, den: Expr) -> Expr:
-    if _is_const(den, 1):
-        return num
-    if _is_const(num, 0) and not _is_const(den, 0):
-        return const(0)
-    if num.kind == CONST and den.kind == CONST and den.value != 0:
-        return _in_range(const(num.value / den.value))
-    if num == den and not _is_const(num, 0):
-        return const(1)
-
-    # flatten nested quotients into one numerator/denominator factor list
-    n_nums, n_dens, n_const = _split_quotient(num)
+def _divide_core(num, den: Expr) -> Expr:
+    """num / den for simplified nodes.  num may be a sum as the _collect list
+    (of two or more terms) that the pass before hands on unbuilt, over a
+    product, power, call or variable: its terms expand as its node's
+    would, and the node is built only where it is kept or compared."""
+    lazy = num.__class__ is list
+    if lazy:
+        n_nums, n_dens, n_const = [], [], 1
+    else:
+        if _is_const(den, 1):
+            return num
+        if _is_const(num, 0) and not _is_const(den, 0):
+            return const(0)
+        if num.kind == CONST and den.kind == CONST and den.value != 0:
+            return _in_range(const(num.value / den.value))
+        if num.kind == den.kind and num == den and not _is_const(num, 0):
+            return const(1)
+        # flatten nested quotients into one numerator/denominator factor list
+        n_nums, n_dens, n_const = _split_quotient(num)
     d_nums, d_dens, d_const = _split_quotient(den)
     num_parts: list = n_nums + d_dens
     den_parts = n_dens + d_nums
     divide_by: Number = d_const
 
     # normalize the numerator to a collected sum of monomial terms so the
-    # cancellation below can see every factor; a sum stays a _collect list
-    terms: list = []
-    _expand(_product_term((const(n_const), *num_parts)), terms)
-    total = _collect(_flat(terms)) if len(terms) > 1 else _node(terms[0])
-    if total.__class__ is list and len(total) > 1:
+    # cancellation below can see every factor; a sum stays a _collect list.
+    # A sum settled over D and now over D times more (see _settled) is
+    # that list already, sharing no factor on the bases in unshared
+    built = (len(n_nums) == 1 and not d_dens and n_const.__class__ is int and n_const == 1
+             and _BUILT.get().get(id(n_nums[0])))
+    if built and built[2] is not None:
+        total, unshared = built[1], built[2]
+    else:
+        terms: list = []
+        for t in [e[2] for e in num] if lazy else [_product_term((const(n_const), *num_parts))]:
+            _expand(t, terms)
+        total, unshared = _collect(_flat(terms)) if len(terms) > 1 else _node(terms[0]), set()
+    whole = total.__class__ is list and len(total) > 1
+    if whole:
         num_parts, constant = [total], 1
     else:
         num_parts, stray_dens, constant = _split_quotient(_sum_node(total))
         den_parts = den_parts + stray_dens
 
     # a sum-numerator can still cancel if all its terms share denominator
-    # bases; summed is the sum node built from a _collect list, if any, and
-    # scanned the bases that list was found to share none of
+    # bases; summed is the last such sum, built from collected, which
+    # shares none of the bases in scanned.  If the numerator was one sum,
+    # summed stays its _collect list until it is kept
     den_bases = set(_tally_factors(den_parts)[0])
+    wanted = den_bases - unshared
     summed = None
     expanded: list[Expr] = []
     for part in num_parts:
         if part.__class__ is list or (den_bases and part.kind == ADD):
-            got = _extract_common_factors(_summands(part), den_bases) if den_bases else None
+            got = _extract_common_factors(part, wanted) if wanted else None
             if got is not None:
                 expanded.extend(got[0])
                 part = got[1]
             if part.__class__ is list:
                 collected, scanned = part, (den_bases if got is None else set())
-                summed = _sum_node(part) if len(part) > 1 else None
+                summed = part if len(part) > 1 and whole else (
+                    _sum_node(part) if len(part) > 1 else None)
+                if summed is part:
+                    continue
                 part = summed or _sum_node(part)
         expanded.append(part)
-    num_parts = expanded
 
     # cancel shared bases power-aware and multiset-wise: keys are bases,
     # values are accumulated integer exponents
-    num_exps, num_opaque = _tally_factors(num_parts)
+    num_exps, num_opaque = _tally_factors(expanded)
     den_exps, den_opaque = _tally_factors(den_parts)
+    if summed.__class__ is list and any([_same(b, summed) for b in (*num_exps, *den_exps)]):
+        summed = _sum_node(summed)  # it meets a base
+        num_exps[summed] = num_exps.get(summed, 0) + 1
     for base in den_exps:
         if base in num_exps:
             k = min(num_exps[base], den_exps[base])
@@ -1103,55 +1168,93 @@ def _divide_core(num: Expr, den: Expr) -> Expr:
             den_exps[base] -= k
     num_powers = [_power_of(b, k) for b, k in num_exps.items() if k]
     den_powers = [_power_of(b, k) for b, k in den_exps.items() if k]
-    new_num = _rebuild_product(constant, num_powers + num_opaque)
     new_den = _rebuild_product(divide_by, den_powers + den_opaque)
+    alone = summed.__class__ is list and not (num_powers or num_opaque)
+    if summed.__class__ is list and not alone:
+        summed = _sum_node(summed)
+        num_powers.append(summed)
+    new_num = summed if alone else _rebuild_product(constant, num_powers + num_opaque)
 
-    if new_num == num and new_den == den:
-        return Expr(DIVIDE, (num, den))
+    if new_den == den and _same(new_num, num):
+        return Expr(DIVIDE, (_sum_node(num), den))
     if new_num is summed:  # stop where the next call would return its input
         unsigned = new_den.args[0] if new_den.kind == NEGATE else new_den
-        if _settled(summed, unsigned, collected, scanned):
+        settled = _settled(unsigned, collected, scanned)
+        if settled is not None:
+            summed = _sum_node(summed)
+            if settled[1]:
+                _BUILT.get()[id(summed)] = summed, collected, {*scanned, *settled[0]}
             out = Expr(DIVIDE, (summed, unsigned))
             return out if unsigned is new_den else Expr(NEGATE, (out,))
+        if alone:  # the next pass reads the sum's terms
+            out = _divide_core(summed if unsigned.kind in (MULTIPLY, POWER, CALL, VAR)
+                               else _sum_node(summed), unsigned)
+            return out if unsigned is new_den else _negated(out)
     return _simplify_divide(new_num, new_den)
 
 
-def _settled(total: Expr, den: Expr, collected: list, scanned: set) -> bool:
-    """Whether _divide_core(total, den) returns its input, for a sum total
-    built from collected, a _collect list that shares no factor on the
-    bases in scanned.
+def _same(a, b) -> bool:
+    """a == b for nodes or sums as _collect lists (of two or more terms),
+    whose nodes are built only to meet a sum of as many terms."""
+    if list in (a.__class__, b.__class__):
+        n = [len(x) if x.__class__ is list else len(x.args) if x.kind == ADD else 0
+             for x in (a, b)]
+        if n[0] != n[1]:
+            return False
+        a, b = _sum_node(a), _sum_node(b)
+    return a == b
+
+
+def _settled(den: Expr, collected: list, scanned: set) -> tuple | None:
+    """None unless _divide_core(sum of collected, den) returns its input,
+    for a _collect list of two or more terms that shares no factor on the
+    bases in scanned; else (den's bases, whether that call gives back each
+    term's node as it is or with the same repr).
 
     That call reads den, which has no sign and no constant factor, as its
     own factors, and returns its input when:
-    - expanding and collecting total gives an equal sum: no term holds a
-      sum factor (or is a sum, a quotient or a constant before the last),
-      the terms' factor sets differ and each is kept or rebuilt equal;
-    - total is not a base of den, and den tallies and rebuilds to itself;
+    - expanding and collecting the sum gives an equal sum: no term holds a
+      sum factor (or is a sum, a quotient, a negated constant or a constant
+      before the last), the terms' factor sets differ and each is kept or
+      rebuilt equal.  A term comes back as it is, or with the same repr,
+      when it keeps the factors it was collected under: a product term with
+      an exact coefficient, a node kept as read, or an exact constant;
+    - the sum is not a base of den, and den tallies and rebuilds to itself;
     - no base of den is a factor of every term, so none is taken out.
     """
     kind = den.kind
-    if kind in (CONST, NEGATE, DIVIDE) or den == total:
-        return False
+    if kind in (CONST, NEGATE, DIVIDE) or _same(den, collected):
+        return None
     factors = den.args if kind == MULTIPLY else (den,)
     if any([f.kind == CONST for f in factors]):
-        return False
+        return None
     exps, opaque = _tally_factors(factors)
-    if total in exps or _rebuild_product(1, [_power_of(b, k) for b, k in exps.items()]
-                                         + opaque) != den:
-        return False
-    last = len(total.args) - 1
-    for i, t in enumerate(total.args):
-        if t.kind == NEGATE:
-            t = t.args[0]
-            if t.kind == CONST:
-                return False
+    if any([_same(b, collected) for b in exps]) or _rebuild_product(
+            1, [_power_of(b, k) for b, k in exps.items()] + opaque) != den:
+        return None
+    last, same = len(collected) - 1, True
+    for i, (parts, _, t) in enumerate(collected):
+        if t.__class__ is tuple:  # its node: a product, or one factor and a sign
+            same = same and t[0].__class__ in _EXACT
+            if not t[2] or len(t[1]) > 1:
+                if any([f.kind == ADD for f in t[1]]):
+                    return None
+                continue
+            t, negated = t[1][0], t[2] == -1
+        else:
+            same = same and (parts is not None or t.value.__class__ is Fraction)
+            negated = t.kind == NEGATE
+            if negated:
+                t = t.args[0]
         kind = t.kind
         if kind == MULTIPLY:
             if any([f.kind == ADD for f in t.args]):
-                return False
-        elif kind in (ADD, DIVIDE, NEGATE) or (kind == CONST and i < last):
-            return False
-    return exps.keys() <= scanned or _extract_common_factors(_summands(collected), exps) is None
+                return None
+        elif kind in (ADD, DIVIDE, NEGATE) or (kind == CONST and (negated or i < last)):
+            return None
+    if exps.keys() <= scanned or _common_bases(collected, exps) is None:
+        return exps.keys(), same
+    return None
 
 
 def _simplify_power(base: Expr, exponent: Expr) -> Expr:

@@ -489,6 +489,33 @@ class TestSimplifyMemo:
         calls[0] = 0
         assert format_expr(simplify(differentiate(s))) == f"{n}*sin(z) + {n}*z*cos(z) + {n}"
 
+    def test_a_ladder_step_builds_and_collects_little(self, monkeypatch):
+        # step 13 -> 14 of 1/(37/3+z) in sin(z) constructed 1729 nodes and
+        # collected 3073 terms when each pass built its reduced sum, the raw
+        # numerator's sum was distributed from its node, and dividing by s'
+        # expanded and collected the settled quotient again; 1101 nodes and
+        # 2474 terms once a pass hands its sum on as _collect entries and
+        # the settled sum is divided as it is.  The bounds are about 1.1
+        # times that
+        chain = OperatorChain(parse("1/(37/3+z)"), parse("sin(z)"))
+        prev = chain.entry(13)
+        step = divide(differentiate(prev, chain.letter), chain.sprime)
+        nodes, terms = [0], [0]
+        init, collect = Expr.__init__, expr_module._collect
+
+        def counted_init(self, *args, **kwargs):
+            nodes[0] += 1
+            init(self, *args, **kwargs)
+
+        def counted_collect(ts):
+            terms[0] += len(ts)
+            return collect(ts)
+
+        monkeypatch.setattr(Expr, "__init__", counted_init)
+        monkeypatch.setattr(expr_module, "_collect", counted_collect)
+        simplify(step, simplified=(prev, chain.sprime))
+        assert nodes[0] <= 1210 and terms[0] <= 2720, (nodes[0], terms[0])
+
 
 class TestUnchangedNodesKept:
     """simplify keeps a factor or term that no other one met as the same
@@ -522,9 +549,11 @@ class TestUnchangedNodesKept:
         # building rational-in-sine entries 0-10 constructed 42352 nodes (42360
         # with parsing the pair) when simplify rebuilt every factor and term,
         # 15648 with this rule, 10314 once a quotient's numerator is
-        # collected as terms and only its surviving terms become nodes, and
+        # collected as terms and only its surviving terms become nodes,
         # 5554 once a raw sum is collected once and each power is one node
-        # per call; the bound is about 1.1 times that
+        # per call, and 4590 once a pass hands its reduced sum on unbuilt and
+        # a settled quotient is divided by s' as it is; the bound is about
+        # 1.1 times that
         count = [0]
         init = Expr.__init__
 
@@ -535,7 +564,7 @@ class TestUnchangedNodesKept:
         chain = OperatorChain(parse("1/(1+z)"), parse("sin(z)"))
         monkeypatch.setattr(Expr, "__init__", counted)
         chain.entry(10)
-        assert count[0] <= 6100
+        assert count[0] <= 5050
 
 
 class TestOperators:
@@ -826,6 +855,68 @@ class TestRecordedDerivatives:
         assert sum(o.startswith("(") for o in outcomes) > 10  # the failing paths run too
         digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
         assert digest == self.QUOTIENT_DIGEST
+
+    #: divisors that no quotient above holds, and constants to divide by:
+    #: a float, a complex, a signed zero and a value no float can hold
+    OTHER_BASES = [call("tan", Z), Expr(ADD, (Z, const(Fraction(7, 2)))), call("cosh", Z)]
+    DIVISOR_CONSTANTS = [const(0.75), const(1.5j), const(-0.0), const(2 ** 1200)]
+
+    @classmethod
+    def divisor(cls, rng, q):
+        """(q or q times a base of q, one more factor to divide it by), as a
+        ladder step divides by s': a base q holds, one in every term of the
+        numerator, a base q does not hold, a product of powers of both, or a
+        constant."""
+        pick = lambda seq: seq[rng.integers(len(seq))]
+        held, stack = {}, [q]
+        while stack:  # q's bases, first seen first: calls, z, and z or a call plus a constant
+            node = stack.pop()
+            kinds = sorted(a.kind for a in node.args)
+            if node.kind in (CALL, "var") or (node.kind == ADD and kinds in (
+                    [CALL, CONST], [CONST, "var"])):
+                held.setdefault(repr(node), node)
+            stack.extend(reversed(node.args))
+        held = list(held.values())
+
+        def power(bases):
+            k = pick([1, 1, 2, 3])
+            b = pick(bases)
+            return b if k == 1 else Expr(POWER, (b, const(k)))
+
+        roll = rng.integers(5)
+        if roll == 0:
+            return q, power(held)
+        if roll == 1:
+            d = power(held)
+            return Expr(MULTIPLY, (q, d.args[0] if d.kind == POWER else d)), d
+        if roll == 2:
+            return q, power(cls.OTHER_BASES)
+        if roll == 3:
+            return q, Expr(MULTIPLY, tuple(power(pick([held, cls.OTHER_BASES]))
+                                           for _ in range(int(rng.integers(2, 4)))))
+        return q, pick(cls.DIVISOR_CONSTANTS)
+
+    #: sha256 of the outcomes, one line each, for 200 quotients q drawn with
+    #: seed 20261024, each with one divisor d: simplify of q / d with d
+    #: passed as simplified (q settles and is divided by d in one call, as
+    #: in a ladder step), then of simplify(q) / d with both passed
+    DIVISOR_DIGEST = "7aa4ead4d78b20b48601065d38ae19c513e9b4717f0093169ceedb23502b500c"
+
+    def test_quotients_over_one_more_factor_match_recorded_digest(self):
+        rng = np.random.default_rng(20261024)
+        outcomes = []
+        for _ in range(200):
+            q, d = self.divisor(rng, self.quotient(rng))
+            d = simplify(d)
+            outcomes.append(str(_outcome(simplify, Expr(DIVIDE, (q, d)), (d,))))
+            try:
+                s = simplify(q)
+            except (FuncSeriesError, ArithmeticError):
+                continue
+            outcomes.append(str(_outcome(simplify, Expr(DIVIDE, (s, d)), (s, d))))
+        assert sum(o.startswith("(") for o in outcomes) > 10  # the failing paths run too
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.DIVISOR_DIGEST
 
     #: coefficients of the sums below: exact, float, complex and signed zeros
     SUM_LEAVES = [const(2), const(-3), const(Fraction(2, 3)), const(Fraction(-1, 4)), const(1),
