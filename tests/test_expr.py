@@ -30,6 +30,7 @@ from funcseries.expr import (
     MULTIPLY,
     NEGATE,
     POWER,
+    VAR,
     Expr,
     add,
     call,
@@ -491,12 +492,11 @@ class TestSimplifyMemo:
 
     def test_a_ladder_step_builds_and_collects_little(self, monkeypatch):
         # step 13 -> 14 of 1/(37/3+z) in sin(z) constructed 1729 nodes and
-        # collected 3073 terms when each pass built its reduced sum, the raw
-        # numerator's sum was distributed from its node, and dividing by s'
-        # expanded and collected the settled quotient again; 1101 nodes and
-        # 2474 terms once a pass hands its sum on as _collect entries and
-        # the settled sum is divided as it is.  The bounds are about 1.1
-        # times that
+        # collected 3073 terms when each quotient pass built the sum it
+        # hands on and dividing by s' expanded and collected the settled
+        # quotient again; 1101 nodes and 2474 terms once a pass hands its
+        # sum on as _collect entries and the settled sum is divided as it
+        # is.  The bounds are about 1.1 times that
         chain = OperatorChain(parse("1/(37/3+z)"), parse("sin(z)"))
         prev = chain.entry(13)
         step = divide(differentiate(prev, chain.letter), chain.sprime)
@@ -872,8 +872,8 @@ class TestRecordedDerivatives:
         while stack:  # q's bases, first seen first: calls, z, and z or a call plus a constant
             node = stack.pop()
             kinds = sorted(a.kind for a in node.args)
-            if node.kind in (CALL, "var") or (node.kind == ADD and kinds in (
-                    [CALL, CONST], [CONST, "var"])):
+            if node.kind in (CALL, VAR) or (node.kind == ADD and kinds in (
+                    [CALL, CONST], [CONST, VAR])):
                 held.setdefault(repr(node), node)
             stack.extend(reversed(node.args))
         held = list(held.values())
